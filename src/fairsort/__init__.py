@@ -21,14 +21,11 @@ from .exposure import (
     ExposureLedger,
     FairnessNotion,
     LedgerError,
-    apply_list,
     fair_targets,
     list_contribution,
-    position_weight,
-    retract_list,
     total_exposure,
 )
-from .harness import ExperimentSpec, build_spec, run_experiment, run_offline, run_online
+from .harness import ExperimentSpec, build_spec, run_experiment
 from .metrics import MetricsReport, dcf, dpf, ndcg_histogram, uir
 from .quality import QualityReport, dcg, ideal_dcg, ndcg
 from .reranker import (
@@ -40,7 +37,7 @@ from .reranker import (
     fairsort_online_step,
     rerank_with_lambda,
 )
-from .velocity import LiftAssignment, err_rates, get_fair, normalize_lifts
+from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 __version__ = "0.1.0"
 
@@ -60,7 +57,6 @@ __all__ = [
     "RankedList",
     "RunConfig",
     "all_random",
-    "apply_list",
     "binary_search_lambda",
     "build_spec",
     "candidate_pool",
@@ -72,7 +68,6 @@ __all__ = [
     "fairsort_offline",
     "fairsort_online_step",
     "generate_synthetic",
-    "get_fair",
     "ideal_dcg",
     "list_contribution",
     "load_dataset",
@@ -82,12 +77,8 @@ __all__ = [
     "ndcg_histogram",
     "normalize_lifts",
     "original_ranking",
-    "position_weight",
     "rerank_with_lambda",
-    "retract_list",
     "run_experiment",
-    "run_offline",
-    "run_online",
     "top_k",
     "total_exposure",
     "uir",

@@ -4,7 +4,8 @@ File formats
 ------------
 Preference matrix: UTF-8 text, one ``user_id<TAB>item_id<TAB>score`` triplet
 per line.  Ids are 0-based contiguous integers, scores are finite decimals
->= 0, and (user, item) pairs absent from the file default to a score of 0.
+>= 0, each (user, item) pair appears at most once, and pairs absent from
+the file default to a score of 0.
 
 Provider map: one ``item_id<TAB>provider_id`` pair per line.  Every item
 appears exactly once and provider ids are 0-based contiguous.
@@ -140,8 +141,8 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     """Read a preference matrix and provider map from disk.
 
     Raises :class:`DatasetFormatError` with a file/line reference on any
-    malformed row, negative score, item without a provider, or duplicate
-    item-provider assignment.
+    malformed row, negative score, item without a provider, repeated
+    (user, item) pair, or duplicate item-provider assignment.
     """
     provider_map_path = Path(provider_map_path)
     matrix_path = Path(matrix_path)
@@ -183,8 +184,8 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
             f"{provider_map_path}: provider ids must be 0-based contiguous"
         )
 
-    triplets: list[tuple[int, int, float]] = []
-    max_user = -1
+    # one row of scores per user seen so far; -1 marks a pair not yet given
+    rows: dict[int, list[float]] = {}
     with open(matrix_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -218,14 +219,20 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
                 raise DatasetFormatError(
                     f"{matrix_path}:{lineno}: item {item} is missing a provider"
                 )
-            max_user = max(max_user, user)
-            triplets.append((user, item, score))
+            row = rows.get(user)
+            if row is None:
+                row = rows[user] = [-1.0] * n_items
+            if row[item] >= 0:
+                raise DatasetFormatError(
+                    f"{matrix_path}:{lineno}: duplicate score for user {user}, item {item}"
+                )
+            row[item] = score
 
-    if max_user < 0:
+    if not rows:
         raise DatasetFormatError(f"{matrix_path}: no triplets found")
-    scores = np.zeros((max_user + 1, n_items), dtype=np.float64)
-    for user, item, score in triplets:
-        scores[user, item] = score
+    unscored = [-1.0] * n_items
+    scores = np.array([rows.get(u, unscored) for u in range(max(rows) + 1)])
+    scores[scores < 0] = 0.0
     matrix = PreferenceMatrix(scores)
     return matrix, Catalog.build(provider_of, matrix)
 

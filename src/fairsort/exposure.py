@@ -35,13 +35,6 @@ class FairnessNotion(enum.Enum):
             raise ValueError(f"unknown fairness notion {text!r}, expected uf or qf") from None
 
 
-def position_weight(rank: int) -> float:
-    """Exposure carried by the slot at 1-based ``rank``."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    return 1.0 / np.log2(rank + 1.0)
-
-
 @lru_cache(maxsize=None)
 def _slot_weights(k: int) -> np.ndarray:
     weights = 1.0 / np.log2(np.arange(2, k + 2, dtype=np.float64))
@@ -142,10 +135,3 @@ class ExposureLedger:
             for p in range(self.catalog.n_providers)
         ]
 
-
-def apply_list(ledger: ExposureLedger, rlist: RankedList, k: int) -> ExposureLedger:
-    return ledger.apply(rlist, k)
-
-
-def retract_list(ledger: ExposureLedger, rlist: RankedList, k: int) -> ExposureLedger:
-    return ledger.retract(rlist, k)

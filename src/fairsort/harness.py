@@ -96,14 +96,7 @@ class ExperimentSpec:
         if self.exposure_update not in ("replace", "accumulate"):
             raise ConfigError("exposure_update must be 'replace' or 'accumulate'")
         # surface bad hyperparameters at spec construction time
-        RunConfig(
-            k=self.k_values[0],
-            notion=self.notion,
-            threshold=self.threshold,
-            lambda_max=self.lambda_max,
-            gap=self.gap,
-            ratio=self.ratio,
-        )
+        self.run_config(self.k_values[0])
 
     def run_config(self, k: int) -> RunConfig:
         return RunConfig(
@@ -116,44 +109,45 @@ class ExperimentSpec:
         )
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "scenario": str,
-    "k": None,
-    "notion": str,
-    "threshold": float,
-    "lambda_max": float,
-    "gap": float,
-    "ratio": float,
-    "seed": int,
-    "rounds": int,
-    "out": str,
-    "dataset": str,
-    "users": int,
-    "items": int,
-    "providers": int,
-    "skew": float,
-    "data_seed": int,
-    "matrix": str,
-    "provider_map": str,
-    "service_order": str,
-    "exposure_update": str,
-}
+def _integer(value) -> int:
+    """``int`` that refuses bools and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _parse_k(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"cannot parse k list from {value!r}") from None
-    if isinstance(value, int):
-        return (value,)
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse k list from {value!r}") from None
+        value = [p for p in value.split(",") if p.strip()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return tuple(_integer(v) for v in value)
+
+
+# config key -> (ExperimentSpec field, parser of the raw value)
+_CONFIG_KEYS = {
+    "model": ("model", str),
+    "scenario": ("scenario", str),
+    "k": ("k_values", _parse_k),
+    "notion": ("notion", lambda value: FairnessNotion.parse(str(value))),
+    "threshold": ("threshold", float),
+    "lambda_max": ("lambda_max", float),
+    "gap": ("gap", float),
+    "ratio": ("ratio", float),
+    "seed": ("seed", _integer),
+    "rounds": ("rounds", _integer),
+    "out": ("out_dir", Path),
+    "dataset": ("dataset", str),
+    "users": ("users", _integer),
+    "items": ("items", _integer),
+    "providers": ("providers", _integer),
+    "skew": ("skew", float),
+    "data_seed": ("data_seed", _integer),
+    "matrix": ("matrix_path", Path),
+    "provider_map": ("provider_map_path", Path),
+    "service_order": ("service_order", str),
+    "exposure_update": ("exposure_update", str),
+}
 
 
 def build_spec(config: dict, overrides: dict | None = None) -> ExperimentSpec:
@@ -168,23 +162,10 @@ def build_spec(config: dict, overrides: dict | None = None) -> ExperimentSpec:
 
     kwargs: dict = {}
     for key, value in merged.items():
-        caster = _CONFIG_KEYS[key]
+        name, parse = _CONFIG_KEYS[key]
         try:
-            if key == "k":
-                kwargs["k_values"] = _parse_k(value)
-            elif key == "notion":
-                kwargs["notion"] = FairnessNotion.parse(str(value))
-            elif key == "out":
-                kwargs["out_dir"] = Path(value)
-            elif key == "matrix":
-                kwargs["matrix_path"] = Path(value)
-            elif key == "provider_map":
-                kwargs["provider_map_path"] = Path(value)
-            else:
-                kwargs[key] = caster(value)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            kwargs[name] = parse(value)
+        except (TypeError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     return ExperimentSpec(**kwargs)
 
@@ -211,14 +192,10 @@ class CellResult:
     timeseries: list[dict] = field(default_factory=list)
 
     def report(self, catalog: Catalog) -> metrics.MetricsReport:
-        if self.scenario == "online":
-            dcf_val = metrics.dcf(list(self.per_user_ndcg.values()))
-        else:
-            dcf_val = metrics.dcf(self.request_ndcgs)
         count = len(self.request_ndcgs)
         total = float(sum(self.request_ndcgs))
         return metrics.MetricsReport(
-            dcf=dcf_val,
+            dcf=metrics.dcf(list(self.per_user_ndcg.values())),
             dpf_uf=metrics.dpf(self.ledger, catalog, FairnessNotion.UNIFORM),
             dpf_qf=metrics.dpf(self.ledger, catalog, FairnessNotion.QUALITY_WEIGHTED),
             total_quality=total,
@@ -227,24 +204,24 @@ class CellResult:
         )
 
 
-def _serve_baseline(
-    model: str,
-    matrix: PreferenceMatrix,
-    user: int,
-    k: int,
-    seed,
-    tracker: baselines.ItemExposureTracker | None,
-    catalog: Catalog,
-) -> RankedList:
-    if model == "top_k":
-        return baselines.top_k(matrix, user, k)
-    if model == "mixed_k":
-        return baselines.mixed_k(matrix, user, k, seed)
-    if model == "all_random":
-        return baselines.all_random(matrix, user, k, seed)
-    if model == "min_exposure":
-        return baselines.min_exposure(tracker, catalog, matrix, user, k)
-    raise ConfigError(f"unknown model {model!r}")
+def _baseline_policy(model: str, k: int, matrix: PreferenceMatrix, catalog: Catalog):
+    """A baseline model as a ``(user, seed) -> list`` policy for one cell.
+
+    Every policy looks its baseline up at call time; min-exposure keeps one
+    item-exposure tracker for the whole cell.
+    """
+    tracker = baselines.ItemExposureTracker.fresh(matrix.n_items)
+    policies = {
+        "top_k": lambda user, seed: baselines.top_k(matrix, user, k),
+        "mixed_k": lambda user, seed: baselines.mixed_k(matrix, user, k, seed),
+        "all_random": lambda user, seed: baselines.all_random(matrix, user, k, seed),
+        "min_exposure": lambda user, seed: baselines.min_exposure(
+            tracker, catalog, matrix, user, k
+        ),
+    }
+    if model not in policies:
+        raise ConfigError(f"unknown model {model!r}")
+    return policies[model]
 
 
 def run_cell_offline(
@@ -252,7 +229,6 @@ def run_cell_offline(
 ) -> CellResult:
     """Serve every user once under one model and collect the ledger."""
     m = matrix.n_users
-    config = spec.run_config(k)
     if model == "fairsort":
         order = None
         if spec.service_order == "shuffled":
@@ -261,34 +237,29 @@ def run_cell_offline(
         lists, ledger, quality_report = fairsort_offline(
             matrix,
             catalog,
-            config,
+            spec.run_config(k),
             order=order,
             exposure_update=spec.exposure_update,
         )
-        per_user = {u: quality_report.per_user[u] for u in range(m)}
-        ordered = tuple(lists[u] for u in range(m))
+        served = [lists[u] for u in range(m)]
+        values = [quality_report.per_user[u] for u in range(m)]
     else:
+        policy = _baseline_policy(model, k, matrix, catalog)
         ledger = ExposureLedger.create(total_exposure(m, k), catalog, spec.notion)
-        tracker = baselines.ItemExposureTracker.fresh(matrix.n_items)
-        served: list[RankedList] = []
-        per_user = {}
+        served, values = [], []
         for user in range(m):
-            rlist = _serve_baseline(
-                model, matrix, user, k, (spec.seed, user), tracker, catalog
-            )
+            rlist = policy(user, (spec.seed, user))
             ledger.apply(rlist, k)
-            per_user[user] = ndcg(matrix, user, rlist, k)
             served.append(rlist)
-        ordered = tuple(served)
-    request_ndcgs = tuple(per_user[u] for u in range(m))
+            values.append(ndcg(matrix, user, rlist, k))
     return CellResult(
         model=model,
         scenario="offline",
         k=k,
-        lists=ordered,
+        lists=tuple(served),
         ledger=ledger,
-        request_ndcgs=request_ndcgs,
-        per_user_ndcg=per_user,
+        request_ndcgs=tuple(values),
+        per_user_ndcg=dict(enumerate(values)),
     )
 
 
@@ -305,16 +276,25 @@ def run_cell_online(
 ) -> CellResult:
     """Replay a request trace, recording running metrics after every step."""
     m = matrix.n_users
-    config = spec.run_config(k)
     trace = make_trace(m, spec.rounds, spec.seed)
+    state = OnlineState.fresh(catalog, spec.notion)
+    ledger = state.ledger
+    if model == "fairsort":
+        config = spec.run_config(k)
 
-    state = OnlineState.fresh(catalog, spec.notion) if model == "fairsort" else None
-    ledger = (
-        state.ledger
-        if state is not None
-        else ExposureLedger.create(0.0, catalog, spec.notion)
-    )
-    tracker = baselines.ItemExposureTracker.fresh(matrix.n_items)
+        def serve(user: int, step: int) -> tuple[RankedList, float]:
+            rlist, _ = fairsort_online_step(
+                state, matrix, catalog, user, config, exposure_update=spec.exposure_update
+            )
+            return rlist, state.ndcg_log[-1][1]
+    else:
+        policy = _baseline_policy(model, k, matrix, catalog)
+
+        def serve(user: int, step: int) -> tuple[RankedList, float]:
+            ledger.set_budget(total_exposure(step, k))
+            rlist = policy(user, (spec.seed, step))
+            ledger.apply(rlist, k)
+            return rlist, ndcg(matrix, user, rlist, k)
 
     user_total = np.zeros(m)
     user_count = np.zeros(m)
@@ -324,19 +304,7 @@ def run_cell_online(
     running_total = 0.0
 
     for step, user in enumerate(trace, start=1):
-        if model == "fairsort":
-            rlist, state = fairsort_online_step(
-                state, matrix, catalog, user, config,
-                exposure_update=spec.exposure_update,
-            )
-            value = state.ndcg_log[-1][1]
-        else:
-            ledger.set_budget(total_exposure(step, k))
-            rlist = _serve_baseline(
-                model, matrix, user, k, (spec.seed, step), tracker, catalog
-            )
-            ledger.apply(rlist, k)
-            value = ndcg(matrix, user, rlist, k)
+        rlist, value = serve(user, step)
         served.append(rlist)
         request_ndcgs.append(value)
         running_total += value
@@ -384,7 +352,6 @@ class SummaryRow:
     ratio: float
     seed: int
     report: metrics.MetricsReport
-    uir_mu_source: str = "pending"
 
 
 def _fmt(value) -> str:
@@ -424,11 +391,8 @@ def emit_report(
                 f"cannot calibrate UIR: no {model} run for scenario={scenario}, K={k}"
             )
         matrix, catalog = data
-        if scenario == "offline":
-            cell = run_cell_offline(spec, model, k, matrix, catalog)
-        else:
-            cell = run_cell_online(spec, model, k, matrix, catalog)
-        calibrators[key] = cell.report(catalog)
+        run_cell = run_cell_online if scenario == "online" else run_cell_offline
+        calibrators[key] = run_cell(spec, model, k, matrix, catalog).report(catalog)
         return calibrators[key], True
 
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -439,19 +403,11 @@ def emit_report(
             mu1_report, ran1 = calibrator(row.scenario, row.k, "min_exposure")
             mu2_report, ran2 = calibrator(row.scenario, row.k, "top_k")
             mu1 = mu1_report.dcf
-            mu2 = (
-                mu2_report.dpf_uf
-                if row.notion is FairnessNotion.UNIFORM
-                else mu2_report.dpf_qf
-            )
-            dpf_val = (
-                row.report.dpf_uf
-                if row.notion is FairnessNotion.UNIFORM
-                else row.report.dpf_qf
-            )
+            mu2 = mu2_report.dpf(row.notion)
             if mu1 > 0 and mu2 > 0 and row.report.avg_quality > 0:
                 uir_val = metrics.uir(
-                    row.report.dcf, dpf_val, mu1, mu2, row.report.avg_quality
+                    row.report.dcf, row.report.dpf(row.notion), mu1, mu2,
+                    row.report.avg_quality,
                 )
                 source = "auto" if (ran1 or ran2) else "provided"
             else:
@@ -515,46 +471,6 @@ def _write_timeseries(path: Path, rows: list[dict]) -> Path:
     return path
 
 
-def run_offline(spec: ExperimentSpec) -> list[Path]:
-    """Run the offline scenario for every requested K; return written files."""
-    matrix, catalog = _load(spec)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[SummaryRow] = []
-    written: list[Path] = []
-    for k in spec.k_values:
-        cell = run_cell_offline(spec, spec.model, k, matrix, catalog)
-        rows.append(_summary_row(spec, k, cell.report(catalog)))
-        stem = f"{spec.model}_offline_K{k}"
-        written.append(
-            _write_ndcg_file(spec.out_dir / f"ndcg_users_{stem}.tsv", cell.per_user_ndcg)
-        )
-        written.append(_write_ledger_file(spec.out_dir / f"ledger_{stem}.tsv", cell.ledger))
-    written.append(
-        emit_report(rows, spec.out_dir / "summary.csv", spec=spec, data=(matrix, catalog))
-    )
-    return written
-
-
-def run_online(spec: ExperimentSpec) -> list[Path]:
-    """Run the online scenario for every requested K; return written files."""
-    matrix, catalog = _load(spec)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[SummaryRow] = []
-    written: list[Path] = []
-    for k in spec.k_values:
-        cell = run_cell_online(spec, spec.model, k, matrix, catalog)
-        rows.append(_summary_row(spec, k, cell.report(catalog)))
-        stem = f"{spec.model}_online_K{k}"
-        written.append(
-            _write_timeseries(spec.out_dir / f"timeseries_{spec.model}_K{k}.csv", cell.timeseries)
-        )
-        written.append(_write_ledger_file(spec.out_dir / f"ledger_{stem}.tsv", cell.ledger))
-    written.append(
-        emit_report(rows, spec.out_dir / "summary.csv", spec=spec, data=(matrix, catalog))
-    )
-    return written
-
-
 def _summary_row(spec: ExperimentSpec, k: int, report: metrics.MetricsReport) -> SummaryRow:
     return SummaryRow(
         model=spec.model,
@@ -571,9 +487,30 @@ def _summary_row(spec: ExperimentSpec, k: int, report: metrics.MetricsReport) ->
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
-    if spec.scenario == "online":
-        return run_online(spec)
-    return run_offline(spec)
+    """Run the spec's scenario for every requested K; return written files."""
+    matrix, catalog = _load(spec)
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    rows: list[SummaryRow] = []
+    written: list[Path] = []
+    for k in spec.k_values:
+        if spec.scenario == "online":
+            cell = run_cell_online(spec, spec.model, k, matrix, catalog)
+            written.append(_write_timeseries(
+                spec.out_dir / f"timeseries_{spec.model}_K{k}.csv", cell.timeseries
+            ))
+        else:
+            cell = run_cell_offline(spec, spec.model, k, matrix, catalog)
+            written.append(_write_ndcg_file(
+                spec.out_dir / f"ndcg_users_{spec.model}_offline_K{k}.tsv", cell.per_user_ndcg
+            ))
+        rows.append(_summary_row(spec, k, cell.report(catalog)))
+        written.append(_write_ledger_file(
+            spec.out_dir / f"ledger_{spec.model}_{spec.scenario}_K{k}.tsv", cell.ledger
+        ))
+    written.append(
+        emit_report(rows, spec.out_dir / "summary.csv", spec=spec, data=(matrix, catalog))
+    )
+    return written
 
 
 def _build_parser() -> argparse.ArgumentParser:

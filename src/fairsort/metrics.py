@@ -77,7 +77,7 @@ def ndcg_histogram(ndcgs: Sequence[float]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One run's summary metrics; ``uir`` stays None until calibrated."""
+    """One run's summary metrics; UIR is calibrated when the report is written."""
 
     dcf: float
     dpf_uf: float
@@ -85,15 +85,7 @@ class MetricsReport:
     total_quality: float
     avg_quality: float
     histogram: tuple[int, ...]
-    uir: float | None = None
 
-    def with_uir(self, value: float | None) -> "MetricsReport":
-        return MetricsReport(
-            dcf=self.dcf,
-            dpf_uf=self.dpf_uf,
-            dpf_qf=self.dpf_qf,
-            total_quality=self.total_quality,
-            avg_quality=self.avg_quality,
-            histogram=self.histogram,
-            uir=value,
-        )
+    def dpf(self, notion: FairnessNotion) -> float:
+        """Provider deviation under the given fairness notion."""
+        return self.dpf_uf if notion is FairnessNotion.UNIFORM else self.dpf_qf

@@ -36,6 +36,11 @@ def ideal_dcg(matrix: PreferenceMatrix, user: int, k: int) -> float:
     return _ideal_dcg_row(matrix.scores[user], k)
 
 
+def _normalized(dcg_value: float, ideal: float) -> float:
+    # an all-zero ideal scores 1; the ratio can only exceed 1 by float noise
+    return 1.0 if ideal == 0.0 else min(dcg_value / ideal, 1.0)
+
+
 def ndcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
     """Normalized DCG in [0, 1].
 
@@ -43,11 +48,7 @@ def ndcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> floa
     worse, so an all-zero ideal yields 1.0 by definition.
     """
     ideal = ideal_dcg(matrix, user, k)
-    if ideal == 0.0:
-        return 1.0
-    value = dcg(matrix, user, rlist, k) / ideal
-    # the ratio can only exceed 1 by float noise
-    return min(value, 1.0)
+    return _normalized(dcg(matrix, user, rlist, k), ideal)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,3 @@ class QualityReport:
     """Per-user NDCG values for one completed run."""
 
     per_user: dict[int, float]
-    total: float
-
-    @classmethod
-    def from_values(cls, per_user: dict[int, float]) -> "QualityReport":
-        return cls(per_user=dict(per_user), total=float(sum(per_user.values())))

@@ -1,12 +1,14 @@
 """Fairness-aware re-ranking with a per-user quality floor.
 
-Given a user's original ranking, items are re-scored as
-``preference + weight * lift`` and re-sorted; the weight trades quality for
-provider fairness.  NDCG of the re-sorted list is non-increasing in the
-weight, so the largest weight that still clears the quality floor can be
-located by bisection.  The offline procedure serves every user once against
-a shared exposure ledger; the online procedure serves one request at a time
-with a budget that grows with the request count.
+Every list is served by one step.  With the user's plain top-K list already
+on the exposure ledger as a stand-in, per-provider lifts are read off the
+ledger, the candidate pool is re-scored as ``preference + weight * lift``,
+and bisection finds the largest weight whose top ``k`` still clears the
+NDCG floor (NDCG is non-increasing in the weight).  The served list then
+replaces the stand-in on the ledger.  The offline procedure preloads every
+user's stand-in against the full run budget and serves each user once; the
+online procedure grows the budget by one list per request and puts only
+that request's stand-in on the ledger before serving it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .catalog import Catalog, PreferenceMatrix, RankedList, original_ranking
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
-from .quality import QualityReport, _dcg_items, _ideal_dcg_row
+from .quality import QualityReport, _dcg_items, _ideal_dcg_row, _normalized
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
@@ -41,8 +43,9 @@ class RunConfig:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
+        # an infinite lambda_max would keep bisection from ever ending
+        if not 0.0 < self.lambda_max < math.inf:
+            raise ValueError("lambda_max must be positive and finite")
         if not 0.0 < self.gap < self.lambda_max:
             raise ValueError("gap must be in (0, lambda_max)")
         if not 0.0 < self.ratio <= 1.0:
@@ -59,6 +62,28 @@ def candidate_pool(ranking: RankedList, ratio: float, k: int | None = None) -> R
     return RankedList(ranking.user, ranking.items[:size])
 
 
+def _pool_arrays(
+    matrix: PreferenceMatrix,
+    user: int,
+    pool: RankedList,
+    lifts: LiftAssignment,
+    k: int,
+    catalog: Catalog,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool item ids with their preference scores and inherited lifts."""
+    if len(pool) < k:
+        raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
+    ids = np.asarray(pool.items, dtype=np.int64)
+    return ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
+
+
+def _top_k(
+    ids: np.ndarray, scores: np.ndarray, item_lifts: np.ndarray, lam: float, k: int
+) -> np.ndarray:
+    """The ``k`` ids with the highest lifted score; ties by ascending id."""
+    return ids[np.lexsort((ids, -(scores + lam * item_lifts)))[:k]]
+
+
 def rerank_with_lambda(
     matrix: PreferenceMatrix,
     user: int,
@@ -72,14 +97,10 @@ def rerank_with_lambda(
 
     Ties in the lifted score break by ascending item id, which also keeps
     items of the same provider in their original relative order for every
-    weight.
+    weight.  This is the probe the weight search runs.
     """
-    if len(pool) < k:
-        raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
-    ids = np.asarray(pool.items, dtype=np.int64)
-    adjusted = matrix.scores[user, ids] + lam * lifts.by_provider[catalog.provider_of[ids]]
-    order = np.lexsort((ids, -adjusted))
-    return RankedList(user, tuple(ids[order[:k]].tolist()))
+    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    return RankedList(user, tuple(_top_k(ids, scores, item_lifts, lam, k).tolist()))
 
 
 def binary_search_lambda(
@@ -116,67 +137,63 @@ def binary_search_lambda_traced(
     ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent: one per
     halving plus, in the all-pass case, one on lambda_max.
     """
-    if len(pool) < config.k:
-        raise ValueError(f"pool of {len(pool)} items cannot fill {config.k} slots")
-    ids = np.asarray(pool.items, dtype=np.int64)
-    row = matrix.scores[user]
-    scores = row[ids]
-    item_lifts = lifts.by_provider[catalog.provider_of[ids]]
-    ideal = _ideal_dcg_row(row, config.k)
     k = config.k
-
-    def evaluate(lam: float) -> tuple[RankedList, float]:
-        adjusted = scores + lam * item_lifts
-        order = np.lexsort((ids, -adjusted))
-        top = ids[order[:k]]
-        if ideal == 0.0:
-            value = 1.0
-        else:
-            value = min(_dcg_items(row, top, k) / ideal, 1.0)
-        return RankedList(user, tuple(top.tolist())), value
-
-    # the pool is a prefix of the user's own ranking, so weight 0 leaves it
-    # untouched and its NDCG is exactly 1
-    identity = RankedList(user, pool.items[:k])
-
-    # a constant shift cannot reorder anything, so the weight is irrelevant
+    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    # a constant shift cannot reorder anything, so the weight is irrelevant;
+    # the pool is a prefix of the user's own ranking, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
-        return 0.0, identity, 1.0, 0
+        return 0.0, RankedList(user, pool.items[:k]), 1.0, 0
+
+    row = matrix.scores[user]
+    ideal = _ideal_dcg_row(row, k)
+
+    def evaluate(lam: float) -> tuple[np.ndarray, float]:
+        top = _top_k(ids, scores, item_lifts, lam, k)
+        return top, _normalized(_dcg_items(row, top, k), ideal)
 
     evaluations = 0
     lo, hi = 0.0, config.lambda_max
-    best_lam, best_list, best_value = 0.0, identity, 1.0
+    best_lam, best_top, best_value = 0.0, ids[:k], 1.0
     while hi - lo > config.gap:
         mid = (lo + hi) / 2.0
         evaluations += 1
-        mid_list, mid_value = evaluate(mid)
+        mid_top, mid_value = evaluate(mid)
         if mid_value >= config.threshold:
             lo = mid
-            best_lam, best_list, best_value = mid, mid_list, mid_value
+            best_lam, best_top, best_value = mid, mid_top, mid_value
         else:
             hi = mid
     if hi == config.lambda_max:
         # no probe ever failed; the floor may hold all the way up
         evaluations += 1
-        top_list, top_value = evaluate(config.lambda_max)
-        if top_value >= config.threshold:
-            return config.lambda_max, top_list, top_value, evaluations
-    return best_lam, best_list, best_value, evaluations
+        top, value = evaluate(config.lambda_max)
+        if value >= config.threshold:
+            best_lam, best_top, best_value = config.lambda_max, top, value
+    return best_lam, RankedList(user, tuple(best_top.tolist())), best_value, evaluations
 
 
-def _lists_to_report(
-    matrix: PreferenceMatrix, lists: dict[int, RankedList], k: int
-) -> QualityReport:
-    per_user: dict[int, float] = {}
-    for user, rlist in lists.items():
-        row = matrix.scores[user]
-        ideal = _ideal_dcg_row(row, k)
-        if ideal == 0.0:
-            per_user[user] = 1.0
-        else:
-            items = np.asarray(rlist.items, dtype=np.int64)
-            per_user[user] = min(_dcg_items(row, items, k) / ideal, 1.0)
-    return QualityReport.from_values(per_user)
+def _serve(
+    matrix: PreferenceMatrix,
+    catalog: Catalog,
+    config: RunConfig,
+    ledger: ExposureLedger,
+    ranking: RankedList,
+    exposure_update: str,
+) -> tuple[RankedList, float]:
+    """Serve one user whose plain top-K list is already on the ledger.
+
+    Lifts come from the ledger as it stands, the largest weight that clears
+    the floor picks the list, and the list replaces the plain top-K stand-in
+    on the ledger (or is added on top of it in ``accumulate`` mode).
+    """
+    lifts = normalize_lifts(err_rates(ledger, catalog))
+    pool = candidate_pool(ranking, config.ratio, config.k)
+    _, served, value = binary_search_lambda(matrix, ranking.user, pool, lifts, config, catalog)
+    # a ranking's first k items are its plain top-K list
+    if exposure_update == "replace":
+        ledger.retract(ranking, config.k)
+    ledger.apply(served, config.k)
+    return served, value
 
 
 def fairsort_offline(
@@ -205,25 +222,18 @@ def fairsort_offline(
     elif sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all user ids")
 
-    rankings = {u: original_ranking(matrix, u) for u in range(m)}
-    provisional = {
-        u: RankedList(u, rankings[u].items[: config.k]) for u in range(m)
-    }
+    rankings = [original_ranking(matrix, u) for u in range(m)]
     ledger = ExposureLedger.create(total_exposure(m, config.k), catalog, config.notion)
-    for u in range(m):
-        ledger.apply(provisional[u], config.k)
+    for ranking in rankings:
+        ledger.apply(ranking, config.k)
 
     lists: dict[int, RankedList] = {}
+    per_user: dict[int, float] = {}
     for u in order:
-        lifts = normalize_lifts(err_rates(ledger, catalog))
-        pool = candidate_pool(rankings[u], config.ratio, config.k)
-        _, served, _ = binary_search_lambda(matrix, u, pool, lifts, config, catalog)
-        if exposure_update == "replace":
-            ledger.retract(provisional[u], config.k)
-        ledger.apply(served, config.k)
-        lists[u] = served
-
-    return lists, ledger, _lists_to_report(matrix, lists, config.k)
+        lists[u], per_user[u] = _serve(
+            matrix, catalog, config, ledger, rankings[u], exposure_update
+        )
+    return lists, ledger, QualityReport(per_user)
 
 
 @dataclass
@@ -259,17 +269,9 @@ def fairsort_online_step(
     if state.served != len(state.ndcg_log):
         raise ValueError("online state is inconsistent")
     ranking = original_ranking(matrix, user)
-    provisional = RankedList(user, ranking.items[: config.k])
-
     state.ledger.set_budget(total_exposure(state.served + 1, config.k))
-    state.ledger.apply(provisional, config.k)
-    lifts = normalize_lifts(err_rates(state.ledger, catalog))
-    pool = candidate_pool(ranking, config.ratio, config.k)
-    _, served, value = binary_search_lambda(matrix, user, pool, lifts, config, catalog)
-    if exposure_update == "replace":
-        state.ledger.retract(provisional, config.k)
-    state.ledger.apply(served, config.k)
-
+    state.ledger.apply(ranking, config.k)
+    served, value = _serve(matrix, catalog, config, state.ledger, ranking, exposure_update)
     state.served += 1
     state.ndcg_log.append((user, value))
     return served, state

@@ -58,7 +58,3 @@ def normalize_lifts(err: np.ndarray) -> LiftAssignment:
         lift[negative] = err[negative] / -err[negative].sum()
     return LiftAssignment(by_provider=lift)
 
-
-def get_fair(item: int, lifts: LiftAssignment, catalog: Catalog) -> float:
-    """Lift inherited by an item from its provider."""
-    return float(lifts.by_provider[catalog.provider_of[item]])

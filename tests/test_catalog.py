@@ -54,6 +54,14 @@ def test_load_dataset_negative_score_reports_line(tmp_path):
         load_dataset(matrix_file, provider_file)
 
 
+def test_load_dataset_duplicate_pair_reports_second_line(tmp_path):
+    # a blank line and a repeated identical score still count
+    matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n\n1\t1\t0.2\n0\t0\t0.5\n")
+    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t0\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.tsv:4: duplicate.*user 0, item 0"):
+        load_dataset(matrix_file, provider_file)
+
+
 def test_load_dataset_item_without_provider(tmp_path):
     matrix_file = write(tmp_path / "m.tsv", "0\t5\t0.5\n")
     provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t0\n")

@@ -16,7 +16,6 @@ from fairsort import (
     RankedList,
     fair_targets,
     list_contribution,
-    position_weight,
     total_exposure,
 )
 
@@ -28,23 +27,6 @@ def small_catalog():
     matrix = PreferenceMatrix(np.array([[1.0, 0.5, 0.25, 0.0]]))
     provider_of = np.array([0, 0, 1, 2])
     return matrix, Catalog.build(provider_of, matrix)
-
-
-def test_position_weight_known_values():
-    assert position_weight(1) == pytest.approx(1.0)
-    assert position_weight(2) == pytest.approx(1.0 / math.log2(3), abs=1e-12)
-    assert position_weight(3) == pytest.approx(0.5)
-    assert position_weight(7) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-
-def test_position_weight_rejects_rank_zero():
-    with pytest.raises(ValueError):
-        position_weight(0)
-
-
-def test_position_weight_strictly_decreasing():
-    weights = [position_weight(r) for r in range(1, 200)]
-    assert all(a > b for a, b in zip(weights, weights[1:]))
 
 
 def test_total_exposure_two_lists_depth_three():

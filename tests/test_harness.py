@@ -78,6 +78,16 @@ def test_build_spec_rejects_bad_values():
         build_spec({"dataset": "synthetic", "threshold": 2.0})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", [10.7]), ("k", 2.5), ("k", True), ("k", [4, False]), ("seed", 2.9),
+     ("rounds", 1.5), ("users", 20.9), ("items", True), ("data_seed", float("inf"))],
+)
+def test_build_spec_rejects_non_integral_integers(key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        build_spec({"dataset": "synthetic", key: value})
+
+
 def test_make_trace_covers_every_user_each_round():
     trace = make_trace(7, 3, seed=1)
     assert len(trace) == 21
@@ -277,6 +287,14 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["run", "--config", str(config_path)])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_cli_rejects_infinite_lambda_max(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(BASE, out=str(tmp_path / "out"))))
+    code = main(["run", "--config", str(config_path), "--lambda-max", "inf"])
+    assert code == 2
+    assert "lambda_max" in capsys.readouterr().err
 
 
 def test_cli_requires_existing_config(tmp_path, capsys):

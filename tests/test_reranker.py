@@ -310,3 +310,8 @@ def test_run_config_validation():
         RunConfig(k=5, notion=UF, gap=20.0)
     with pytest.raises(ValueError):
         RunConfig(k=5, notion=UF, ratio=0.0)
+    # a non-finite bound would leave bisection running forever
+    for bound in ({"lambda_max": math.inf}, {"lambda_max": math.nan},
+                  {"gap": math.inf}, {"gap": math.nan}):
+        with pytest.raises(ValueError):
+            RunConfig(k=5, notion=UF, **bound)

@@ -11,7 +11,6 @@ from fairsort import (
     FairnessNotion,
     PreferenceMatrix,
     err_rates,
-    get_fair,
     normalize_lifts,
 )
 
@@ -99,14 +98,6 @@ def test_normalize_lifts_sign_groups_sum_to_unit(errors):
     if negative.size:
         assert negative.sum() == pytest.approx(-1.0, abs=1e-9)
     assert np.all(lifts[err == 0] == 0.0)
-
-
-def test_get_fair_maps_items_through_providers():
-    catalog = catalog_with_masses([2, 1], [1.0, 1.0])
-    lifts = normalize_lifts(np.array([0.4, -0.4]))
-    assert get_fair(0, lifts, catalog) == pytest.approx(1.0)
-    assert get_fair(1, lifts, catalog) == pytest.approx(1.0)
-    assert get_fair(2, lifts, catalog) == pytest.approx(-1.0)
 
 
 def test_balanced_ledger_produces_zero_lifts():
