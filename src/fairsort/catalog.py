@@ -17,6 +17,7 @@ normalization is applied on load.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,17 +110,23 @@ class Catalog:
 
 @dataclass(frozen=True)
 class RankedList:
-    """An ordered recommendation list for one user; items are distinct."""
+    """An ordered recommendation list for one user; items are distinct ids >= 0."""
 
     user: int
     items: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        items = tuple(int(i) for i in self.items)
+        # operator.index rejects floats and other non-integral ids
+        user = operator.index(self.user)
+        items = tuple(map(operator.index, self.items))
+        if user < 0:
+            raise ValueError(f"ranked list has a negative user id {user}")
         if len(set(items)) != len(items):
-            raise ValueError(f"ranked list for user {self.user} repeats items")
+            raise ValueError(f"ranked list for user {user} repeats items")
+        if items and min(items) < 0:
+            raise ValueError(f"ranked list for user {user} has a negative item id")
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "user", int(self.user))
+        object.__setattr__(self, "user", user)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -14,11 +14,22 @@ def _dcg_items(row: np.ndarray, items: np.ndarray, k: int) -> float:
     return float(row[items[:k]] @ _slot_weights(k))
 
 
-def _ideal_dcg_row(row: np.ndarray, k: int) -> float:
-    # gather through the same code path as _dcg_items so that scoring the
-    # user's own top-k yields a bit-exact ratio of 1
-    order = np.argsort(-row, kind="stable")[:k]
-    return float(row[order] @ _slot_weights(k))
+def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id.
+
+    Only the positions whose key is at most the k-th smallest can make the
+    cut, so only they are sorted.  For finite keys this equals the first
+    ``k`` of a full ``np.lexsort((ids, key))``.
+    """
+    cut = np.partition(key, k - 1)[k - 1]
+    near = np.flatnonzero(key <= cut)
+    near_ids = ids[near]
+    return near_ids[np.lexsort((near_ids, key[near]))[:k]]
+
+
+def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
+    """The user's own top ``k`` items: the first ``k`` of their ranking."""
+    return _smallest_k(-row, np.arange(row.size), k)
 
 
 def dcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
@@ -33,7 +44,10 @@ def ideal_dcg(matrix: PreferenceMatrix, user: int, k: int) -> float:
     """DCG of the user's top ``k`` items by preference; the NDCG denominator."""
     if k > matrix.n_items:
         raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
-    return _ideal_dcg_row(matrix.scores[user], k)
+    row = matrix.scores[user]
+    # gather through _dcg_items so that scoring the user's own top-k yields
+    # a bit-exact ratio of 1
+    return _dcg_items(row, _ideal_top(row, k), k)
 
 
 def _normalized(dcg_value: float, ideal: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import Catalog, PreferenceMatrix, RankedList, original_ranking
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
-from .quality import QualityReport, _dcg_items, _ideal_dcg_row, _normalized
+from .quality import QualityReport, _dcg_items, _ideal_top, _normalized, _smallest_k
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
@@ -53,12 +53,17 @@ class RunConfig:
 
 
 def candidate_pool(ranking: RankedList, ratio: float, k: int | None = None) -> RankedList:
-    """First ``ceil(n * ratio)`` items of the original ranking."""
+    """First ``ceil(n * ratio)`` items of the original ranking.
+
+    A pool of the whole ranking is the ranking itself; lists are frozen.
+    """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
     size = math.ceil(len(ranking) * ratio - _POOL_EPS)
     if k is not None and size < k:
         raise ValueError(f"pool of {size} items cannot fill {k} slots")
+    if size == len(ranking):
+        return ranking
     return RankedList(ranking.user, ranking.items[:size])
 
 
@@ -81,7 +86,7 @@ def _top_k(
     ids: np.ndarray, scores: np.ndarray, item_lifts: np.ndarray, lam: float, k: int
 ) -> np.ndarray:
     """The ``k`` ids with the highest lifted score; ties by ascending id."""
-    return ids[np.lexsort((ids, -(scores + lam * item_lifts)))[:k]]
+    return _smallest_k(-(scores + lam * item_lifts), ids, k)
 
 
 def rerank_with_lambda(
@@ -99,6 +104,8 @@ def rerank_with_lambda(
     items of the same provider in their original relative order for every
     weight.  This is the probe the weight search runs.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     return RankedList(user, tuple(_top_k(ids, scores, item_lifts, lam, k).tolist()))
 
@@ -130,7 +137,8 @@ def binary_search_lambda_traced(
 
     ``pool`` must come from :func:`candidate_pool`, i.e. be a prefix of the
     user's own ranking; its first k items then score NDCG 1, so weight 0
-    always clears the floor.  Bisection keeps the invariant
+    always clears the floor.  A pool whose first k items are not the user's
+    own top k raises ``ValueError``.  Bisection keeps the invariant
     NDCG(lo) >= threshold and stops once hi - lo <= gap, returning the
     largest probed weight that passed.  When every probe passes, lambda_max
     itself is probed last and returned if it clears the floor.  At most
@@ -139,13 +147,16 @@ def binary_search_lambda_traced(
     """
     k = config.k
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    row = matrix.scores[user]
+    ideal_top = _ideal_top(row, k)
+    if not np.array_equal(ids[:k], ideal_top):
+        raise ValueError(f"pool for user {user} does not start with the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
-    # the pool is a prefix of the user's own ranking, so its NDCG is exactly 1
+    # the pool starts with the user's own top k, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
         return 0.0, RankedList(user, pool.items[:k]), 1.0, 0
 
-    row = matrix.scores[user]
-    ideal = _ideal_dcg_row(row, k)
+    ideal = _dcg_items(row, ideal_top, k)
 
     def evaluate(lam: float) -> tuple[np.ndarray, float]:
         top = _top_k(ids, scores, item_lifts, lam, k)

@@ -24,6 +24,13 @@ class LiftAssignment:
 
     by_provider: np.ndarray
 
+    def __post_init__(self) -> None:
+        by_provider = np.asarray(self.by_provider, dtype=np.float64)
+        # the partial-selection probe matches a full sort only on finite keys
+        if not np.all(np.isfinite(by_provider)):
+            raise ValueError("lifts must be finite")
+        object.__setattr__(self, "by_provider", by_provider)
+
 
 def err_rates(ledger: ExposureLedger, catalog: Catalog) -> np.ndarray:
     """Size-normalized exposure deficit per provider.

@@ -88,6 +88,28 @@ def test_ranked_list_rejects_duplicates():
         RankedList(0, (1, 2, 1))
 
 
+def test_ranked_list_rejects_non_integral_ids():
+    # these used to be truncated to (1, 2)
+    with pytest.raises(TypeError):
+        RankedList(0, (1.7, 2.2))
+    with pytest.raises(TypeError):
+        RankedList(0, (np.float64(1.0),))
+    with pytest.raises(TypeError):
+        RankedList(1.7, (0,))
+
+
+def test_ranked_list_accepts_numpy_integer_ids():
+    assert RankedList(0, tuple(np.array([3, 0], dtype=np.int64))).items == (3, 0)
+
+
+def test_ranked_list_rejects_negative_ids():
+    # ndcg used to score -1 as the last item of the row
+    with pytest.raises(ValueError, match="negative"):
+        RankedList(0, (-1, 0))
+    with pytest.raises(ValueError, match="negative user"):
+        RankedList(-1, (0,))
+
+
 def test_preference_matrix_rejects_negative_and_nonfinite():
     with pytest.raises(ValueError):
         PreferenceMatrix(np.array([[0.1, -0.2]]))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fairsort import PreferenceMatrix, RankedList, dcg, ideal_dcg, ndcg
 from fairsort.oracle import naive_dcg, naive_ndcg
+from fairsort.quality import _ideal_top, _smallest_k
 
 TWO_ITEMS = PreferenceMatrix(np.array([[0.8, 0.9]]))
 
@@ -82,3 +83,41 @@ def test_dcg_matches_oracle(seed):
     items = tuple(int(i) for i in rng.permutation(n))
     value = dcg(matrix, 0, RankedList(0, items), k)
     assert value == pytest.approx(naive_dcg(row.tolist(), items, k), abs=1e-12)
+
+
+@st.composite
+def tie_heavy_pools(draw):
+    """Lifted probe keys over a pool, built from few distinct values.
+
+    Integer scores (possibly an all-zero row, whose keys are -0.0), lifts
+    equal across providers or on a coarse dyadic grid, and weights that keep
+    the sums exact, so many keys tie at the k-th smallest.
+    """
+    n = draw(st.integers(1, 40))
+    scores = draw(st.one_of(
+        st.just([0] * n), st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    ))
+    n_providers = draw(st.integers(1, 4))
+    provider_of = draw(st.lists(st.integers(0, n_providers - 1), min_size=n, max_size=n))
+    lifts = draw(st.one_of(
+        st.sampled_from([-0.5, 0.0, 0.5]).map(lambda v: [v] * n_providers),
+        st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                 min_size=n_providers, max_size=n_providers),
+    ))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 16.0]))
+    # distinct ids in ranking order, drawn from a universe that may be larger
+    ids = draw(st.permutations(range(n + draw(st.integers(0, 5)))))[:n]
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    row = np.array(scores, dtype=np.float64)
+    key = -(row + lam * np.array(lifts)[np.array(provider_of)])
+    return row, key, np.array(ids, dtype=np.int64), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_pools())
+def test_smallest_k_matches_full_sort(pool):
+    row, key, ids, k = pool
+    expected = ids[np.lexsort((ids, key))[:k]]
+    assert np.array_equal(_smallest_k(key, ids, k), expected)
+    expected_top = np.argsort(-row, kind="stable")[:k]
+    assert np.array_equal(_ideal_top(row, k), expected_top)

@@ -46,6 +46,11 @@ def test_candidate_pool_takes_ranking_prefix():
     assert candidate_pool(ranking, 1.0).items == tuple(range(10))
 
 
+def test_candidate_pool_of_whole_ranking_is_the_ranking():
+    ranking = RankedList(0, tuple(range(10)))
+    assert candidate_pool(ranking, 1.0) is ranking
+
+
 def test_candidate_pool_rounds_up():
     ranking = RankedList(0, tuple(range(7)))
     assert len(candidate_pool(ranking, 0.5)) == 4
@@ -82,6 +87,14 @@ def test_rerank_truncates_to_k():
     pool = RankedList(0, (0, 1, 2))
     out = rerank_with_lambda(matrix, 0, pool, lifts, 0.15, 2, catalog)
     assert out.items == (2, 1)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_rerank_rejects_non_finite_weight(lam):
+    matrix, catalog, lifts = three_item_instance()
+    pool = RankedList(0, (0, 1, 2))
+    with pytest.raises(ValueError, match="finite"):
+        rerank_with_lambda(matrix, 0, pool, lifts, lam, 2, catalog)
 
 
 def test_rerank_preserves_within_provider_order():
@@ -125,6 +138,20 @@ def test_binary_search_single_provider_pool_returns_zero_weight():
     )
     assert lam == 0.0 and evals == 0
     assert rlist.items == (0, 1)
+
+
+@pytest.mark.parametrize("by_provider", [[-1.0, 1.0], [0.0, 0.0]])
+def test_binary_search_rejects_pool_not_led_by_own_top_k(by_provider):
+    # this pool scores NDCG 0.108, yet it used to be reported as 1.0 at weight 0
+    matrix = PreferenceMatrix(np.array([[0.9, 0.5, 0.1, 0.05]]))
+    catalog = Catalog.build(np.array([0, 0, 1, 1]), matrix)
+    lifts = LiftAssignment(by_provider=np.array(by_provider))
+    config = RunConfig(k=2, notion=UF, threshold=0.9)
+    pool = RankedList(0, (2, 3, 0))
+    assert ndcg(matrix, 0, RankedList(0, (2, 3)), 2) < config.threshold
+    for search in (binary_search_lambda, binary_search_lambda_traced):
+        with pytest.raises(ValueError, match="user 0"):
+            search(matrix, 0, pool, lifts, config, catalog)
 
 
 def test_binary_search_returns_lambda_max_when_floor_never_breaks():

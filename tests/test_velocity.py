@@ -9,6 +9,7 @@ from fairsort import (
     Catalog,
     ExposureLedger,
     FairnessNotion,
+    LiftAssignment,
     PreferenceMatrix,
     err_rates,
     normalize_lifts,
@@ -107,3 +108,9 @@ def test_balanced_ledger_produces_zero_lifts():
     ledger.exposure = ledger.target.copy()
     lifts = normalize_lifts(err_rates(ledger, catalog))
     assert np.all(lifts.by_provider == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lift_assignment_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LiftAssignment(np.array([bad, 1.0]))
