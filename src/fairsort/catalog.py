@@ -3,9 +3,11 @@
 File formats
 ------------
 Preference matrix: UTF-8 text, one ``user_id<TAB>item_id<TAB>score`` triplet
-per line.  Ids are 0-based contiguous integers, scores are finite decimals
->= 0, each (user, item) pair appears at most once, and pairs absent from
-the file default to a score of 0.
+per line.  Ids are 0-based contiguous integers, so every user up to the
+highest id has at least one row (a user with no positive score is written
+with explicit 0 rows).  Scores are finite decimals >= 0, each (user, item)
+pair appears at most once, and pairs absent from the file default to a
+score of 0.
 
 Provider map: one ``item_id<TAB>provider_id`` pair per line.  Every item
 appears exactly once and provider ids are 0-based contiguous.
@@ -148,8 +150,8 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     """Read a preference matrix and provider map from disk.
 
     Raises :class:`DatasetFormatError` with a file/line reference on any
-    malformed row, negative score, item without a provider, repeated
-    (user, item) pair, or duplicate item-provider assignment.
+    malformed row, negative score, item without a provider, user id gap,
+    repeated (user, item) pair, or duplicate item-provider assignment.
     """
     provider_map_path = Path(provider_map_path)
     matrix_path = Path(matrix_path)
@@ -237,8 +239,12 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
 
     if not rows:
         raise DatasetFormatError(f"{matrix_path}: no triplets found")
-    unscored = [-1.0] * n_items
-    scores = np.array([rows.get(u, unscored) for u in range(max(rows) + 1)])
+    if len(rows) != max(rows) + 1:
+        user = next(u for u in range(max(rows)) if u not in rows)
+        raise DatasetFormatError(
+            f"{matrix_path}: user {user} has no rows (user ids must be 0-based contiguous)"
+        )
+    scores = np.array([rows[u] for u in range(len(rows))])
     scores[scores < 0] = 0.0
     matrix = PreferenceMatrix(scores)
     return matrix, Catalog.build(provider_of, matrix)
@@ -283,8 +289,9 @@ def generate_synthetic(
         raise ValueError("need at least one user and one item")
     if not 1 <= n_providers <= n_items:
         raise ValueError("need 1 <= n_providers <= n_items")
-    if skew < 0:
-        raise ValueError("skew must be >= 0")
+    # written so that NaN fails too
+    if not skew >= 0:
+        raise ValueError(f"skew must be >= 0, got {skew}")
     weights = np.arange(1, n_providers + 1, dtype=np.float64) ** (-skew)
     sizes = _allocate_sizes(n_items, weights)
     provider_of = np.repeat(np.arange(n_providers, dtype=np.int64), sizes)

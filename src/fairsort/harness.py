@@ -83,6 +83,9 @@ class ExperimentSpec:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ConfigError("k must list positive integers")
+        repeated = [k for i, k in enumerate(self.k_values) if k in self.k_values[:i]]
+        if repeated:
+            raise ConfigError(f"k lists {repeated[0]} more than once")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.dataset not in ("synthetic", "files"):
@@ -93,8 +96,6 @@ class ExperimentSpec:
             raise ConfigError("dataset=files needs matrix and provider_map paths")
         if self.service_order not in ("ascending", "shuffled"):
             raise ConfigError("service_order must be 'ascending' or 'shuffled'")
-        if self.exposure_update not in ("replace", "accumulate"):
-            raise ConfigError("exposure_update must be 'replace' or 'accumulate'")
         # surface bad hyperparameters at spec construction time
         self.run_config(self.k_values[0])
 
@@ -106,6 +107,7 @@ class ExperimentSpec:
             lambda_max=self.lambda_max,
             gap=self.gap,
             ratio=self.ratio,
+            exposure_update=self.exposure_update,
         )
 
 
@@ -235,11 +237,7 @@ def run_cell_offline(
             rng = np.random.default_rng((spec.seed, _ORDER_STREAM))
             order = rng.permutation(m).tolist()
         lists, ledger, quality_report = fairsort_offline(
-            matrix,
-            catalog,
-            spec.run_config(k),
-            order=order,
-            exposure_update=spec.exposure_update,
+            matrix, catalog, spec.run_config(k), order=order
         )
         served = [lists[u] for u in range(m)]
         values = [quality_report.per_user[u] for u in range(m)]
@@ -283,9 +281,7 @@ def run_cell_online(
         config = spec.run_config(k)
 
         def serve(user: int, step: int) -> tuple[RankedList, float]:
-            rlist, _ = fairsort_online_step(
-                state, matrix, catalog, user, config, exposure_update=spec.exposure_update
-            )
+            rlist, _ = fairsort_online_step(state, matrix, catalog, user, config)
             return rlist, state.ndcg_log[-1][1]
     else:
         policy = _baseline_policy(model, k, matrix, catalog)
@@ -338,22 +334,6 @@ def run_cell_online(
     )
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """One summary.csv line before UIR calibration."""
-
-    model: str
-    scenario: str
-    k: int
-    notion: FairnessNotion
-    threshold: float
-    lambda_max: float
-    gap: float
-    ratio: float
-    seed: int
-    report: metrics.MetricsReport
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -363,75 +343,44 @@ def _fmt(value) -> str:
 
 
 def emit_report(
-    rows: list[SummaryRow],
+    spec: ExperimentSpec,
+    rows: list[tuple[int, metrics.MetricsReport, float, float]],
     path: Path,
-    *,
-    spec: ExperimentSpec | None = None,
-    data: tuple[PreferenceMatrix, Catalog] | None = None,
 ) -> Path:
-    """Write summary rows as CSV, calibrating the UIR column.
+    """Write one summary.csv line per ``(k, report, mu1, mu2)`` row.
 
-    UIR needs two reference numbers per (scenario, K): the min-exposure
-    model's DCF and the top-K model's DPF under the row's notion.  Reference
-    rows already present are used as is; missing ones are executed on the
-    fly when ``spec`` and ``data`` are given, and the provenance column says
-    which happened.
+    UIR is calibrated by the min-exposure model's DCF (mu1) and the top-K
+    model's DPF under the spec's notion (mu2), both run at the row's K.
     """
-    calibrators: dict[tuple[str, int, str], metrics.MetricsReport] = {}
-    for row in rows:
-        if row.model in ("top_k", "min_exposure"):
-            calibrators[(row.scenario, row.k, row.model)] = row.report
-
-    def calibrator(scenario: str, k: int, model: str) -> tuple[metrics.MetricsReport, bool]:
-        key = (scenario, k, model)
-        if key in calibrators:
-            return calibrators[key], False
-        if spec is None or data is None:
-            raise ConfigError(
-                f"cannot calibrate UIR: no {model} run for scenario={scenario}, K={k}"
-            )
-        matrix, catalog = data
-        run_cell = run_cell_online if scenario == "online" else run_cell_offline
-        calibrators[key] = run_cell(spec, model, k, matrix, catalog).report(catalog)
-        return calibrators[key], True
-
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            mu1_report, ran1 = calibrator(row.scenario, row.k, "min_exposure")
-            mu2_report, ran2 = calibrator(row.scenario, row.k, "top_k")
-            mu1 = mu1_report.dcf
-            mu2 = mu2_report.dpf(row.notion)
-            if mu1 > 0 and mu2 > 0 and row.report.avg_quality > 0:
+        for k, report, mu1, mu2 in rows:
+            calibrated = mu1 > 0 and mu2 > 0 and report.avg_quality > 0
+            uir_val = None
+            if calibrated:
                 uir_val = metrics.uir(
-                    row.report.dcf, row.report.dpf(row.notion), mu1, mu2,
-                    row.report.avg_quality,
+                    report.dcf, report.dpf(spec.notion), mu1, mu2, report.avg_quality
                 )
-                source = "auto" if (ran1 or ran2) else "provided"
-            else:
-                uir_val = None
-                source = "degenerate"
             writer.writerow(
                 [
-                    row.model,
-                    row.scenario,
-                    str(row.k),
-                    row.notion.value,
-                    _fmt(row.threshold),
-                    _fmt(row.lambda_max),
-                    _fmt(row.gap),
-                    _fmt(row.ratio),
-                    str(row.seed),
-                    _fmt(row.report.dcf),
-                    _fmt(row.report.dpf_uf),
-                    _fmt(row.report.dpf_qf),
-                    _fmt(row.report.total_quality),
-                    _fmt(row.report.avg_quality),
+                    spec.model,
+                    spec.scenario,
+                    str(k),
+                    spec.notion.value,
+                    _fmt(spec.threshold),
+                    _fmt(spec.lambda_max),
+                    _fmt(spec.gap),
+                    _fmt(spec.ratio),
+                    str(spec.seed),
+                    _fmt(report.dcf),
+                    _fmt(report.dpf_uf),
+                    _fmt(report.dpf_qf),
+                    _fmt(report.total_quality),
+                    _fmt(report.avg_quality),
                     _fmt(uir_val),
-                    *[str(c) for c in row.report.histogram],
-                    source,
+                    *[str(c) for c in report.histogram],
+                    "auto" if calibrated else "degenerate",
                 ]
             )
     return path
@@ -471,45 +420,39 @@ def _write_timeseries(path: Path, rows: list[dict]) -> Path:
     return path
 
 
-def _summary_row(spec: ExperimentSpec, k: int, report: metrics.MetricsReport) -> SummaryRow:
-    return SummaryRow(
-        model=spec.model,
-        scenario=spec.scenario,
-        k=k,
-        notion=spec.notion,
-        threshold=spec.threshold,
-        lambda_max=spec.lambda_max,
-        gap=spec.gap,
-        ratio=spec.ratio,
-        seed=spec.seed,
-        report=report,
-    )
-
-
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
-    """Run the spec's scenario for every requested K; return written files."""
+    """Run the spec's scenario for every requested K; return written files.
+
+    Each K also needs the UIR references in the same scenario, the
+    min-exposure and top-K models; a run of either model is its own
+    reference, and any other reference is run here.
+    """
     matrix, catalog = _load(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[SummaryRow] = []
+    online = spec.scenario == "online"
+    run_cell = run_cell_online if online else run_cell_offline
+    rows: list[tuple[int, metrics.MetricsReport, float, float]] = []
     written: list[Path] = []
     for k in spec.k_values:
-        if spec.scenario == "online":
-            cell = run_cell_online(spec, spec.model, k, matrix, catalog)
+        cell = run_cell(spec, spec.model, k, matrix, catalog)
+        if online:
             written.append(_write_timeseries(
                 spec.out_dir / f"timeseries_{spec.model}_K{k}.csv", cell.timeseries
             ))
         else:
-            cell = run_cell_offline(spec, spec.model, k, matrix, catalog)
             written.append(_write_ndcg_file(
                 spec.out_dir / f"ndcg_users_{spec.model}_offline_K{k}.tsv", cell.per_user_ndcg
             ))
-        rows.append(_summary_row(spec, k, cell.report(catalog)))
         written.append(_write_ledger_file(
             spec.out_dir / f"ledger_{spec.model}_{spec.scenario}_K{k}.tsv", cell.ledger
         ))
-    written.append(
-        emit_report(rows, spec.out_dir / "summary.csv", spec=spec, data=(matrix, catalog))
-    )
+        report = cell.report(catalog)
+        refs = {spec.model: report}
+        for model in ("min_exposure", "top_k"):
+            if model not in refs:
+                refs[model] = run_cell(spec, model, k, matrix, catalog).report(catalog)
+        rows.append((k, report, refs["min_exposure"].dcf, refs["top_k"].dpf(spec.notion)))
+    written.append(emit_report(spec, rows, spec.out_dir / "summary.csv"))
     return written
 
 

@@ -37,6 +37,7 @@ class RunConfig:
     lambda_max: float = 16.0
     gap: float = 2.0**-7
     ratio: float = 1.0
+    exposure_update: str = "replace"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -50,6 +51,8 @@ class RunConfig:
             raise ValueError("gap must be in (0, lambda_max)")
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
+        if self.exposure_update not in ("replace", "accumulate"):
+            raise ValueError("exposure_update must be 'replace' or 'accumulate'")
 
 
 def candidate_pool(ranking: RankedList, ratio: float, k: int | None = None) -> RankedList:
@@ -189,7 +192,6 @@ def _serve(
     config: RunConfig,
     ledger: ExposureLedger,
     ranking: RankedList,
-    exposure_update: str,
 ) -> tuple[RankedList, float]:
     """Serve one user whose plain top-K list is already on the ledger.
 
@@ -201,7 +203,7 @@ def _serve(
     pool = candidate_pool(ranking, config.ratio, config.k)
     _, served, value = binary_search_lambda(matrix, ranking.user, pool, lifts, config, catalog)
     # a ranking's first k items are its plain top-K list
-    if exposure_update == "replace":
+    if config.exposure_update == "replace":
         ledger.retract(ranking, config.k)
     ledger.apply(served, config.k)
     return served, value
@@ -213,20 +215,17 @@ def fairsort_offline(
     config: RunConfig,
     *,
     order: list[int] | None = None,
-    exposure_update: str = "replace",
 ) -> tuple[dict[int, RankedList], ExposureLedger, QualityReport]:
     """Serve every user once, steering exposure toward under-served providers.
 
     The ledger is preloaded with each user's plain top-K list as a stand-in;
     when a user is actually served, the stand-in is swapped for the re-ranked
-    list (``exposure_update="replace"``), which keeps the ledger total pinned
-    at the run budget throughout.  ``exposure_update="accumulate"`` keeps the
+    list (``config.exposure_update == "replace"``), which keeps the ledger
+    total pinned at the run budget throughout.  ``"accumulate"`` keeps the
     stand-ins and simply adds the served lists on top, for sensitivity
     experiments.  Users are served in ascending id order unless an explicit
     ``order`` permutation is given.
     """
-    if exposure_update not in ("replace", "accumulate"):
-        raise ValueError("exposure_update must be 'replace' or 'accumulate'")
     m = matrix.n_users
     if order is None:
         order = list(range(m))
@@ -241,9 +240,7 @@ def fairsort_offline(
     lists: dict[int, RankedList] = {}
     per_user: dict[int, float] = {}
     for u in order:
-        lists[u], per_user[u] = _serve(
-            matrix, catalog, config, ledger, rankings[u], exposure_update
-        )
+        lists[u], per_user[u] = _serve(matrix, catalog, config, ledger, rankings[u])
     return lists, ledger, QualityReport(per_user)
 
 
@@ -266,8 +263,6 @@ def fairsort_online_step(
     catalog: Catalog,
     user: int,
     config: RunConfig,
-    *,
-    exposure_update: str = "replace",
 ) -> tuple[RankedList, OnlineState]:
     """Serve one request, growing the exposure budget by one list.
 
@@ -275,14 +270,12 @@ def fairsort_online_step(
     are computed and swapped for the served list afterwards; contributions
     of past requests stay on the ledger permanently.
     """
-    if exposure_update not in ("replace", "accumulate"):
-        raise ValueError("exposure_update must be 'replace' or 'accumulate'")
     if state.served != len(state.ndcg_log):
         raise ValueError("online state is inconsistent")
     ranking = original_ranking(matrix, user)
     state.ledger.set_budget(total_exposure(state.served + 1, config.k))
     state.ledger.apply(ranking, config.k)
-    served, value = _serve(matrix, catalog, config, state.ledger, ranking, exposure_update)
+    served, value = _serve(matrix, catalog, config, state.ledger, ranking)
     state.served += 1
     state.ndcg_log.append((user, value))
     return served, state

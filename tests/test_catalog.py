@@ -83,6 +83,17 @@ def test_load_dataset_provider_map_gap(tmp_path):
         load_dataset(matrix_file, provider_file)
 
 
+def test_load_dataset_user_gap(tmp_path):
+    matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n2\t1\t0.25\n")
+    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t1\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.tsv: user 1 has no rows"):
+        load_dataset(matrix_file, provider_file)
+    # a user with no positive score is written with explicit zero rows
+    write(tmp_path / "m.tsv", "0\t0\t0.5\n1\t0\t0\n2\t1\t0.25\n")
+    matrix, _ = load_dataset(matrix_file, provider_file)
+    assert matrix.scores.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.25]]
+
+
 def test_ranked_list_rejects_duplicates():
     with pytest.raises(ValueError, match="repeats"):
         RankedList(0, (1, 2, 1))
@@ -173,6 +184,8 @@ def test_generate_synthetic_validates_arguments():
         generate_synthetic(5, 10, 11, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(5, 10, 2, -0.5, seed=0)
+    with pytest.raises(ValueError, match="skew"):
+        generate_synthetic(5, 10, 2, float("nan"), seed=0)
 
 
 def test_catalog_requires_every_provider_nonempty():

@@ -12,13 +12,11 @@ from fairsort.harness import (
     ConfigError,
     ExperimentSpec,
     build_spec,
-    emit_report,
     main,
     make_trace,
     run_cell_offline,
     run_cell_online,
     run_experiment,
-    _summary_row,
 )
 from fairsort.oracle import RunRecord, replay_check
 
@@ -120,6 +118,17 @@ def test_offline_top_k_row_is_calibration_point(tmp_path):
     assert float(row["dcf"]) == 0.0
     assert float(row["avg_quality"]) == 1.0
     assert float(row["uir"]) == pytest.approx(1.0, abs=1e-9)
+    assert row["uir_mu_source"] == "auto"
+
+
+@pytest.mark.parametrize("scenario", ["offline", "online"])
+def test_single_provider_leaves_uir_uncalibrated(tmp_path, scenario):
+    # one provider gets all exposure, so top-K's DPF is 0 and UIR is undefined
+    spec = spec_with(tmp_path, scenario=scenario, providers=1, rounds=2)
+    run_experiment(spec)
+    row = read_summary(spec.out_dir / "summary.csv")[0]
+    assert row["uir"] == ""
+    assert row["uir_mu_source"] == "degenerate"
 
 
 def test_offline_threshold_one_matches_top_k_metrics(tmp_path):
@@ -198,30 +207,6 @@ def test_runs_are_byte_identical(tmp_path):
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for a, b in zip(files_a, files_b):
             assert a.read_bytes() == b.read_bytes(), a.name
-
-
-def test_emit_report_autoruns_calibrators(tmp_path):
-    spec = spec_with(tmp_path, model="top_k")
-    matrix, catalog = generate_synthetic(
-        spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
-    )
-    cell = run_cell_offline(spec, "top_k", 4, matrix, catalog)
-    row = _summary_row(spec, 4, cell.report(catalog))
-    path = emit_report([row], tmp_path / "s.csv", spec=spec, data=(matrix, catalog))
-    rows = read_summary(path)
-    assert rows[0]["uir_mu_source"] == "auto"
-    assert float(rows[0]["uir"]) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_emit_report_without_context_requires_calibrators(tmp_path):
-    spec = spec_with(tmp_path, model="top_k")
-    matrix, catalog = generate_synthetic(
-        spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
-    )
-    cell = run_cell_offline(spec, "top_k", 4, matrix, catalog)
-    row = _summary_row(spec, 4, cell.report(catalog))
-    with pytest.raises(ConfigError, match="cannot calibrate"):
-        emit_report([row], tmp_path / "s.csv")
 
 
 def test_offline_cells_replay_cleanly(tmp_path):
@@ -313,3 +298,5 @@ def test_spec_validation_errors():
         ExperimentSpec(rounds=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(service_order="random")
+    with pytest.raises(ConfigError, match="k lists 4 more than once"):
+        ExperimentSpec(k_values=(4, 5, 4))

@@ -1,5 +1,6 @@
 """Candidate pools, weighted re-sorting, the floor search, and both loops."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -239,7 +240,8 @@ def test_offline_conserves_exposure():
 
 def test_offline_accumulate_mode_doubles_ledger_mass():
     matrix, catalog, config = offline_setup()
-    _, ledger, _ = fairsort_offline(matrix, catalog, config, exposure_update="accumulate")
+    config = dataclasses.replace(config, exposure_update="accumulate")
+    _, ledger, _ = fairsort_offline(matrix, catalog, config)
     budget = total_exposure(matrix.n_users, config.k)
     assert ledger.exposure.sum() == pytest.approx(2 * budget, rel=1e-9)
 
@@ -337,6 +339,8 @@ def test_run_config_validation():
         RunConfig(k=5, notion=UF, gap=20.0)
     with pytest.raises(ValueError):
         RunConfig(k=5, notion=UF, ratio=0.0)
+    with pytest.raises(ValueError, match="exposure_update"):
+        RunConfig(k=5, notion=UF, exposure_update="overwrite")
     # a non-finite bound would leave bisection running forever
     for bound in ({"lambda_max": math.inf}, {"lambda_max": math.nan},
                   {"gap": math.inf}, {"gap": math.nan}):
