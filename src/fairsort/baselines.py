@@ -11,16 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PreferenceMatrix, RankedList, original_ranking
+from .catalog import PreferenceMatrix, RankedList, _smallest_k, original_ranking
 from .exposure import _slot_weights
 
 
 def top_k(matrix: PreferenceMatrix, user: int, k: int) -> RankedList:
     """The user's k best items in preference order."""
-    ranking = original_ranking(matrix, user)
-    if len(ranking) < k:
-        raise ValueError(f"k={k} exceeds the {len(ranking)}-item universe")
-    return RankedList(user, ranking.items[:k])
+    if matrix.n_items < k:
+        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
+    return original_ranking(matrix, user, k)
 
 
 def mixed_k(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
@@ -77,7 +76,6 @@ def min_exposure(
     n = tracker.exposure.size
     if n < k:
         raise ValueError(f"k={k} exceeds the {n}-item universe")
-    order = np.lexsort((np.arange(n), tracker.exposure))
-    items = order[:k]
+    items = _smallest_k(tracker.exposure, np.arange(n), k)
     tracker.exposure[items] += _slot_weights(k)
     return RankedList(user, tuple(items.tolist()))

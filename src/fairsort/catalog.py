@@ -250,12 +250,41 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     return matrix, Catalog.build(provider_of, matrix)
 
 
-def original_ranking(matrix: PreferenceMatrix, user: int) -> RankedList:
-    """All items sorted by preference, descending; ties by ascending item id."""
+def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id.
+
+    Only the positions whose key is at most the k-th smallest can make the
+    cut, so only they are sorted; when every position makes it, there is no
+    cut to take.  For finite keys this equals the first ``k`` of a full
+    ``np.lexsort((ids, key))``.
+    """
+    if k == key.size:
+        return ids[np.lexsort((ids, key))]
+    cut = np.partition(key, k - 1)[k - 1]
+    near = np.flatnonzero(key <= cut)
+    near_ids = ids[near]
+    return near_ids[np.lexsort((near_ids, key[near]))[:k]]
+
+
+def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` item ids of a score row's ranking."""
+    return _smallest_k(-row, np.arange(row.size), k)
+
+
+def original_ranking(matrix: PreferenceMatrix, user: int, depth: int | None = None) -> RankedList:
+    """The user's first ``depth`` items by preference, descending; ties by ascending id.
+
+    Without ``depth`` the list ranks every item.  A shorter list is the
+    prefix of the full ranking, and costs a partial selection instead of a
+    full sort.
+    """
     if not 0 <= user < matrix.n_users:
         raise ValueError(f"user {user} out of range")
-    order = np.argsort(-matrix.scores[user], kind="stable")
-    return RankedList(user, tuple(order.tolist()))
+    if depth is None:
+        depth = matrix.n_items
+    elif not 1 <= depth <= matrix.n_items:
+        raise ValueError(f"depth {depth} outside 1..{matrix.n_items}")
+    return RankedList(user, tuple(_ideal_top(matrix.scores[user], depth).tolist()))
 
 
 def _allocate_sizes(n_items: int, weights: np.ndarray) -> np.ndarray:

@@ -272,8 +272,14 @@ def make_trace(n_users: int, rounds: int, seed: int) -> list[int]:
 def run_cell_online(
     spec: ExperimentSpec, model: str, k: int, matrix: PreferenceMatrix, catalog: Catalog
 ) -> CellResult:
-    """Replay a request trace, recording running metrics after every step."""
+    """Replay a request trace, recording running metrics after every step.
+
+    Only a cell of the spec's own model records them: that is the time
+    series :func:`run_experiment` writes, and the UIR reference cells it
+    runs alongside would discard theirs.
+    """
     m = matrix.n_users
+    record = model == spec.model
     trace = make_trace(m, spec.rounds, spec.seed)
     state = OnlineState.fresh(catalog, spec.notion)
     ledger = state.ledger
@@ -306,6 +312,8 @@ def run_cell_online(
         running_total += value
         user_total[user] += value
         user_count[user] += 1
+        if not record:
+            continue
 
         averages = np.where(user_count > 0, user_total / np.maximum(user_count, 1), 0.0)
         timeseries.append(

@@ -6,30 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PreferenceMatrix, RankedList
+from .catalog import PreferenceMatrix, RankedList, _ideal_top
 from .exposure import _slot_weights
 
 
 def _dcg_items(row: np.ndarray, items: np.ndarray, k: int) -> float:
     return float(row[items[:k]] @ _slot_weights(k))
-
-
-def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id.
-
-    Only the positions whose key is at most the k-th smallest can make the
-    cut, so only they are sorted.  For finite keys this equals the first
-    ``k`` of a full ``np.lexsort((ids, key))``.
-    """
-    cut = np.partition(key, k - 1)[k - 1]
-    near = np.flatnonzero(key <= cut)
-    near_ids = ids[near]
-    return near_ids[np.lexsort((near_ids, key[near]))[:k]]
-
-
-def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
-    """The user's own top ``k`` items: the first ``k`` of their ranking."""
-    return _smallest_k(-row, np.arange(row.size), k)
 
 
 def dcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:

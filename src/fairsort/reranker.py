@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Catalog, PreferenceMatrix, RankedList, original_ranking
+from .catalog import Catalog, PreferenceMatrix, RankedList, _smallest_k, original_ranking
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
-from .quality import QualityReport, _dcg_items, _ideal_top, _normalized, _smallest_k
+from .quality import QualityReport, _dcg_items, _normalized
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
@@ -55,16 +55,29 @@ class RunConfig:
             raise ValueError("exposure_update must be 'replace' or 'accumulate'")
 
 
-def candidate_pool(ranking: RankedList, ratio: float, k: int | None = None) -> RankedList:
-    """First ``ceil(n * ratio)`` items of the original ranking.
-
-    A pool of the whole ranking is the ranking itself; lists are frozen.
-    """
+def _pool_size(n_items: int, ratio: float, k: int | None = None) -> int:
+    """``ceil(n_items * ratio)``, the candidate pool's size; it must fill ``k`` slots."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0, 1]")
-    size = math.ceil(len(ranking) * ratio - _POOL_EPS)
+    size = math.ceil(n_items * ratio - _POOL_EPS)
     if k is not None and size < k:
         raise ValueError(f"pool of {size} items cannot fill {k} slots")
+    return size
+
+
+def candidate_pool(
+    ranking: RankedList, ratio: float, k: int | None = None, *, n_items: int | None = None
+) -> RankedList:
+    """First ``ceil(n * ratio)`` items of the original ranking.
+
+    ``n`` is the ranking's length, or ``n_items`` when the ranking is only a
+    prefix of the user's ranking over that many items; the prefix must hold
+    the whole pool.  A pool of the whole ranking is the ranking itself;
+    lists are frozen.
+    """
+    size = _pool_size(len(ranking) if n_items is None else n_items, ratio, k)
+    if size > len(ranking):
+        raise ValueError(f"ranking of {len(ranking)} items cannot hold a pool of {size}")
     if size == len(ranking):
         return ranking
     return RankedList(ranking.user, ranking.items[:size])
@@ -141,9 +154,11 @@ def binary_search_lambda_traced(
     ``pool`` must come from :func:`candidate_pool`, i.e. be a prefix of the
     user's own ranking; its first k items then score NDCG 1, so weight 0
     always clears the floor.  A pool whose first k items are not the user's
-    own top k raises ``ValueError``.  Bisection keeps the invariant
-    NDCG(lo) >= threshold and stops once hi - lo <= gap, returning the
-    largest probed weight that passed.  When every probe passes, lambda_max
+    own top k raises ``ValueError``.  The check is exact and O(n): the
+    first k must be in (score desc, id asc) order, and exactly k - 1 of the
+    user's items may precede the k-th in that order.  Bisection keeps the
+    invariant NDCG(lo) >= threshold and stops once hi - lo <= gap, returning
+    the largest probed weight that passed.  When every probe passes, lambda_max
     itself is probed last and returned if it clears the floor.  At most
     ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent: one per
     halving plus, in the all-pass case, one on lambda_max.
@@ -151,15 +166,22 @@ def binary_search_lambda_traced(
     k = config.k
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     row = matrix.scores[user]
-    ideal_top = _ideal_top(row, k)
-    if not np.array_equal(ids[:k], ideal_top):
+    head, head_scores = ids[:k], scores[:k]
+    last, cut = head[-1], head_scores[-1]
+    in_order = np.all(
+        (head_scores[:-1] > head_scores[1:])
+        | ((head_scores[:-1] == head_scores[1:]) & (head[:-1] < head[1:]))
+    )
+    ahead = np.count_nonzero(row > cut) + np.count_nonzero(row[:last] == cut)
+    if not in_order or ahead != k - 1:
         raise ValueError(f"pool for user {user} does not start with the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the pool starts with the user's own top k, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
         return 0.0, RankedList(user, pool.items[:k]), 1.0, 0
 
-    ideal = _dcg_items(row, ideal_top, k)
+    # the verified head is the user's own top k, so this is the ideal DCG
+    ideal = _dcg_items(row, head, k)
 
     def evaluate(lam: float) -> tuple[np.ndarray, float]:
         top = _top_k(ids, scores, item_lifts, lam, k)
@@ -195,12 +217,13 @@ def _serve(
 ) -> tuple[RankedList, float]:
     """Serve one user whose plain top-K list is already on the ledger.
 
-    Lifts come from the ledger as it stands, the largest weight that clears
-    the floor picks the list, and the list replaces the plain top-K stand-in
-    on the ledger (or is added on top of it in ``accumulate`` mode).
+    ``ranking`` is the user's ranking to at least the candidate pool's
+    depth.  Lifts come from the ledger as it stands, the largest weight that
+    clears the floor picks the list, and the list replaces the plain top-K
+    stand-in on the ledger (or is added on top of it in ``accumulate`` mode).
     """
     lifts = normalize_lifts(err_rates(ledger, catalog))
-    pool = candidate_pool(ranking, config.ratio, config.k)
+    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
     _, served, value = binary_search_lambda(matrix, ranking.user, pool, lifts, config, catalog)
     # a ranking's first k items are its plain top-K list
     if config.exposure_update == "replace":
@@ -232,7 +255,8 @@ def fairsort_offline(
     elif sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all user ids")
 
-    rankings = [original_ranking(matrix, u) for u in range(m)]
+    depth = _pool_size(matrix.n_items, config.ratio, config.k)
+    rankings = [original_ranking(matrix, u, depth) for u in range(m)]
     ledger = ExposureLedger.create(total_exposure(m, config.k), catalog, config.notion)
     for ranking in rankings:
         ledger.apply(ranking, config.k)
@@ -272,7 +296,8 @@ def fairsort_online_step(
     """
     if state.served != len(state.ndcg_log):
         raise ValueError("online state is inconsistent")
-    ranking = original_ranking(matrix, user)
+    # only the candidate pool is ever searched, so only it is ranked
+    ranking = original_ranking(matrix, user, _pool_size(matrix.n_items, config.ratio, config.k))
     state.ledger.set_budget(total_exposure(state.served + 1, config.k))
     state.ledger.apply(ranking, config.k)
     served, value = _serve(matrix, catalog, config, state.ledger, ranking)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsort import (
     Catalog,
@@ -145,6 +147,34 @@ def test_original_ranking_matches_selection_sort_oracle():
         matrix = PreferenceMatrix(row[None, :])
         expected = selection_sort_ranking(row.tolist())
         assert list(original_ranking(matrix, 0).items) == expected
+
+
+@st.composite
+def ranked_rows(draw):
+    """A one-user matrix of integer or all-zero scores, with a ranking depth."""
+    n = draw(st.integers(1, 40))
+    row = draw(st.one_of(
+        st.just([0] * n), st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    ))
+    k = draw(st.integers(1, n))
+    depth = draw(st.sampled_from([1, k, n]))
+    return PreferenceMatrix(np.array([row], dtype=np.float64)), depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_rows())
+def test_original_ranking_prefix_matches_full_ranking(case):
+    matrix, depth = case
+    full = original_ranking(matrix, 0)
+    assert full.items == tuple(np.argsort(-matrix.scores[0], kind="stable").tolist())
+    assert original_ranking(matrix, 0, depth).items == full.items[:depth]
+
+
+@pytest.mark.parametrize("depth", [0, -1, 4])
+def test_original_ranking_rejects_depth_outside_items(depth):
+    matrix = PreferenceMatrix(np.array([[0.2, 0.9, 0.5]]))
+    with pytest.raises(ValueError, match="depth"):
+        original_ranking(matrix, 0, depth)
 
 
 def test_generate_synthetic_is_deterministic():

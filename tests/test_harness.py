@@ -253,6 +253,17 @@ def test_online_cells_replay_cleanly(tmp_path):
         assert verdict.ok, (model, verdict.violations)
 
 
+def test_online_reference_cells_skip_the_time_series(tmp_path):
+    spec = spec_with(tmp_path, scenario="online", rounds=2)
+    matrix, catalog = generate_synthetic(
+        spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
+    )
+    own = run_cell_online(spec, "fairsort", 4, matrix, catalog)
+    assert len(own.timeseries) == len(own.lists)
+    for model in ("min_exposure", "top_k"):
+        assert run_cell_online(spec, model, 4, matrix, catalog).timeseries == []
+
+
 def test_cli_round_trip(tmp_path, capsys):
     config = dict(BASE, out=str(tmp_path / "cli_out"), k="3")
     config_path = tmp_path / "config.json"

@@ -1,14 +1,24 @@
 """The names the benchmark's layer timers wrap must keep resolving.
 
-``perfbench/layers.py`` replaces package functions by name; a renamed one
-would only fail inside a traced benchmark run.  This loads the hook table
-and checks every target without running any benchmark.
+``perfbench/layers.py`` replaces package functions by name; a renamed one,
+or one its caller no longer looks up at call time, would only show inside
+a traced benchmark run.  This loads the hook table and checks every target
+without running any benchmark.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from fairsort import reranker
+from fairsort import (
+    FairnessNotion,
+    OnlineState,
+    RunConfig,
+    fairsort_offline,
+    fairsort_online_step,
+    generate_synthetic,
+    reranker,
+)
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -25,3 +35,24 @@ def test_benchmark_hooks_resolve_to_callables():
         if not callable(getattr(owner, name, None))
     ]
     assert not missing, missing
+
+
+def test_serve_paths_call_the_hooked_names(monkeypatch):
+    # the timers replace these module attributes, so the serve paths must
+    # look them up on every call
+    calls = Counter()
+    for name in ("original_ranking", "candidate_pool"):
+        def counted(*args, _name=name, _fn=getattr(reranker, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(reranker, name, counted)
+    matrix, catalog = generate_synthetic(6, 20, 3, 1.0, seed=0)
+    config = RunConfig(k=3, notion=FairnessNotion.UNIFORM, ratio=0.5)
+    fairsort_offline(matrix, catalog, config)
+    assert calls == {"original_ranking": 6, "candidate_pool": 6}
+    calls.clear()
+    state = OnlineState.fresh(catalog, config.notion)
+    for user in (2, 4):
+        _, state = fairsort_online_step(state, matrix, catalog, user, config)
+    assert calls == {"original_ranking": 2, "candidate_pool": 2}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fairsort import PreferenceMatrix, RankedList, dcg, ideal_dcg, ndcg
 from fairsort.oracle import naive_dcg, naive_ndcg
-from fairsort.quality import _ideal_top, _smallest_k
+from fairsort.catalog import _ideal_top, _smallest_k
 
 TWO_ITEMS = PreferenceMatrix(np.array([[0.8, 0.9]]))
 

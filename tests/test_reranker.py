@@ -52,6 +52,14 @@ def test_candidate_pool_of_whole_ranking_is_the_ranking():
     assert candidate_pool(ranking, 1.0) is ranking
 
 
+def test_candidate_pool_of_ranking_prefix():
+    prefix = RankedList(0, (4, 1, 3))
+    assert candidate_pool(prefix, 0.3, 2, n_items=10) is prefix
+    assert candidate_pool(prefix, 0.2, 2, n_items=10).items == (4, 1)
+    with pytest.raises(ValueError, match="cannot hold"):
+        candidate_pool(prefix, 0.4, 2, n_items=10)
+
+
 def test_candidate_pool_rounds_up():
     ranking = RankedList(0, tuple(range(7)))
     assert len(candidate_pool(ranking, 0.5)) == 4
@@ -153,6 +161,25 @@ def test_binary_search_rejects_pool_not_led_by_own_top_k(by_provider):
     for search in (binary_search_lambda, binary_search_lambda_traced):
         with pytest.raises(ValueError, match="user 0"):
             search(matrix, 0, pool, lifts, config, catalog)
+
+
+@pytest.mark.parametrize(
+    "scores, pool, k",
+    [
+        # the user's own top 3, but not in ranking order
+        ([0.9, 0.5, 0.1, 0.05], (1, 0, 2, 3), 3),
+        # item 1 ties the 2nd score with a smaller id, yet sits outside the pool
+        ([0.9, 0.5, 0.5, 0.1], (0, 2, 3), 2),
+    ],
+)
+def test_binary_search_rejects_pool_head_off_the_ranking(scores, pool, k):
+    matrix = PreferenceMatrix(np.array([scores]))
+    catalog = Catalog.build(np.array([0, 1, 0, 1]), matrix)
+    config = RunConfig(k=k, notion=UF, threshold=0.9)
+    for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
+        lifts = LiftAssignment(by_provider=np.array(by_provider))
+        with pytest.raises(ValueError, match="user 0"):
+            binary_search_lambda_traced(matrix, 0, RankedList(0, pool), lifts, config, catalog)
 
 
 def test_binary_search_returns_lambda_max_when_floor_never_breaks():
