@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,18 @@ class PreferenceMatrix:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
             raise ValueError("preference matrix must be 2-d and non-empty")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("preference scores must be finite")
+        # a finite total rules out any non-finite score as well; for
+        # nonnegative scores it also keeps every row DCG, provider mass and
+        # lifted key finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = scores.sum()
+        if not np.isfinite(total):
+            if not np.all(np.isfinite(scores)):
+                raise ValueError("preference scores must be finite")
+            raise ValueError(
+                f"preference scores must sum to at most {sys.float_info.max!r}, "
+                f"the largest float; the sum overflows"
+            )
         if np.any(scores < 0):
             raise ValueError("preference scores must be nonnegative")
         object.__setattr__(self, "scores", scores)
@@ -151,7 +162,8 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
 
     Raises :class:`DatasetFormatError` with a file/line reference on any
     malformed row, negative score, item without a provider, user id gap,
-    repeated (user, item) pair, or duplicate item-provider assignment.
+    repeated (user, item) pair, or duplicate item-provider assignment, and
+    with the file name when the scores' total overflows.
     """
     provider_map_path = Path(provider_map_path)
     matrix_path = Path(matrix_path)
@@ -246,7 +258,10 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
         )
     scores = np.array([rows[u] for u in range(len(rows))])
     scores[scores < 0] = 0.0
-    matrix = PreferenceMatrix(scores)
+    try:
+        matrix = PreferenceMatrix(scores)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{matrix_path}: {exc}") from None
     return matrix, Catalog.build(provider_of, matrix)
 
 

@@ -9,7 +9,7 @@ fair target implied by the active fairness notion.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +51,16 @@ def total_exposure(list_count: int, k: int) -> float:
     return float(list_count * _slot_weights(k).sum())
 
 
+def _fair_shares(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
+    """Each provider's fraction of any budget under the given notion."""
+    if notion is FairnessNotion.UNIFORM:
+        return catalog.item_count / catalog.item_count.sum()
+    mass_total = catalog.quality_mass.sum()
+    if mass_total <= 0:
+        raise ValueError("quality-weighted targets need positive total quality mass")
+    return catalog.quality_mass / mass_total
+
+
 def fair_targets(budget: float, catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
     """Split an exposure budget across providers under the given notion.
 
@@ -59,14 +69,7 @@ def fair_targets(budget: float, catalog: Catalog, notion: FairnessNotion) -> np.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if notion is FairnessNotion.UNIFORM:
-        shares = catalog.item_count / catalog.item_count.sum()
-    else:
-        mass_total = catalog.quality_mass.sum()
-        if mass_total <= 0:
-            raise ValueError("quality-weighted targets need positive total quality mass")
-        shares = catalog.quality_mass / mass_total
-    return budget * shares
+    return budget * _fair_shares(catalog, notion)
 
 
 def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray:
@@ -74,9 +77,10 @@ def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray
     if len(rlist) < k:
         raise ValueError(f"list has {len(rlist)} items, need {k}")
     items = np.asarray(rlist.items[:k], dtype=np.int64)
-    contribution = np.zeros(catalog.n_providers, dtype=np.float64)
-    np.add.at(contribution, catalog.provider_of[items], _slot_weights(k))
-    return contribution
+    # adds the weights in slot order, as np.add.at would, so bit for bit the same
+    return np.bincount(
+        catalog.provider_of[items], weights=_slot_weights(k), minlength=catalog.n_providers
+    )
 
 
 @dataclass
@@ -91,9 +95,12 @@ class ExposureLedger:
     budget: float
     notion: FairnessNotion
     catalog: Catalog
+    # fair_targets(budget) == budget * shares; kept so a new budget skips the split
+    shares: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, budget: float, catalog: Catalog, notion: FairnessNotion) -> "ExposureLedger":
+        shares = _fair_shares(catalog, notion)
         target = fair_targets(budget, catalog, notion)
         total = target.sum()
         if abs(total - budget) > 1e-9 * max(1.0, abs(budget)):
@@ -104,11 +111,14 @@ class ExposureLedger:
             budget=float(budget),
             notion=notion,
             catalog=catalog,
+            shares=shares,
         )
 
     def set_budget(self, budget: float) -> None:
         """Rescale fair targets to a new exposure budget."""
-        self.target = fair_targets(budget, self.catalog, self.notion)
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        self.target = budget * self.shares
         self.budget = float(budget)
 
     def apply(self, rlist: RankedList, k: int) -> "ExposureLedger":

@@ -49,6 +49,13 @@ class RunConfig:
             raise ValueError("lambda_max must be positive and finite")
         if not 0.0 < self.gap < self.lambda_max:
             raise ValueError("gap must be in (0, lambda_max)")
+        # below the float spacing at lambda_max, bisection can reach two
+        # adjacent doubles whose midpoint is one of them, and never end
+        if self.gap < math.ulp(self.lambda_max):
+            raise ValueError(
+                f"gap {self.gap!r} is below {math.ulp(self.lambda_max)!r}, the float "
+                f"spacing at lambda_max {self.lambda_max!r}"
+            )
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError("ratio must be in (0, 1]")
         if self.exposure_update not in ("replace", "accumulate"):
@@ -65,37 +72,68 @@ def _pool_size(n_items: int, ratio: float, k: int | None = None) -> int:
     return size
 
 
+def _serve_depth(n_items: int, config: RunConfig) -> int:
+    """How deep a serve ranks its user.
+
+    A pool smaller than the catalog is the ranking's prefix, so the ranking
+    must reach the pool's depth.  A pool of the whole catalog needs only its
+    head, the user's top k, because the search takes every item anyway.
+    """
+    size = _pool_size(n_items, config.ratio, config.k)
+    return config.k if size == n_items else size
+
+
+@dataclass(frozen=True)
+class _CatalogPool:
+    """The whole catalog as a candidate pool, led by the user's top k in order."""
+
+    head: RankedList
+
+
 def candidate_pool(
     ranking: RankedList, ratio: float, k: int | None = None, *, n_items: int | None = None
-) -> RankedList:
+) -> RankedList | _CatalogPool:
     """First ``ceil(n * ratio)`` items of the original ranking.
 
     ``n`` is the ranking's length, or ``n_items`` when the ranking is only a
     prefix of the user's ranking over that many items; the prefix must hold
     the whole pool.  A pool of the whole ranking is the ranking itself;
-    lists are frozen.
+    lists are frozen.  The search reads only the pool's first ``k`` items
+    in order, its verified head; the rest may come in any order.  So a pool
+    of all ``n_items`` is served from a prefix of at least ``k`` items: its
+    head is the prefix's first ``k`` and its other items are every id, a
+    private form that only the search and :func:`rerank_with_lambda` read.
     """
     size = _pool_size(len(ranking) if n_items is None else n_items, ratio, k)
-    if size > len(ranking):
-        raise ValueError(f"ranking of {len(ranking)} items cannot hold a pool of {size}")
     if size == len(ranking):
         return ranking
+    if size == n_items and k is not None and len(ranking) >= k:
+        head = ranking if len(ranking) == k else RankedList(ranking.user, ranking.items[:k])
+        return _CatalogPool(head)
+    if size > len(ranking):
+        raise ValueError(f"ranking of {len(ranking)} items cannot hold a pool of {size}")
     return RankedList(ranking.user, ranking.items[:size])
 
 
 def _pool_arrays(
     matrix: PreferenceMatrix,
     user: int,
-    pool: RankedList,
+    pool: RankedList | _CatalogPool,
     lifts: LiftAssignment,
     k: int,
     catalog: Catalog,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pool item ids with their preference scores and inherited lifts."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pool's first ``k`` ids, then all its ids with their scores and lifts."""
+    if isinstance(pool, _CatalogPool):
+        if len(pool.head) != k:
+            raise ValueError(f"pool head of {len(pool.head)} items, need {k}")
+        head = np.asarray(pool.head.items, dtype=np.int64)
+        ids = np.arange(matrix.n_items)
+        return head, ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
     ids = np.asarray(pool.items, dtype=np.int64)
-    return ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
+    return ids[:k], ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
 
 
 def _top_k(
@@ -108,7 +146,7 @@ def _top_k(
 def rerank_with_lambda(
     matrix: PreferenceMatrix,
     user: int,
-    pool: RankedList,
+    pool: RankedList | _CatalogPool,
     lifts: LiftAssignment,
     lam: float,
     k: int,
@@ -122,14 +160,14 @@ def rerank_with_lambda(
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    _, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     return RankedList(user, tuple(_top_k(ids, scores, item_lifts, lam, k).tolist()))
 
 
 def binary_search_lambda(
     matrix: PreferenceMatrix,
     user: int,
-    pool: RankedList,
+    pool: RankedList | _CatalogPool,
     lifts: LiftAssignment,
     config: RunConfig,
     catalog: Catalog,
@@ -144,17 +182,19 @@ def binary_search_lambda(
 def binary_search_lambda_traced(
     matrix: PreferenceMatrix,
     user: int,
-    pool: RankedList,
+    pool: RankedList | _CatalogPool,
     lifts: LiftAssignment,
     config: RunConfig,
     catalog: Catalog,
 ) -> tuple[float, RankedList, float, int]:
     """As :func:`binary_search_lambda`, also reporting the evaluation count.
 
-    ``pool`` must come from :func:`candidate_pool`, i.e. be a prefix of the
-    user's own ranking; its first k items then score NDCG 1, so weight 0
-    always clears the floor.  A pool whose first k items are not the user's
-    own top k raises ``ValueError``.  The check is exact and O(n): the
+    ``pool`` must come from :func:`candidate_pool`: its first k items are
+    the user's own top k in order, the verified head, and the rest may come
+    in any order, since ties in the lifted score break by id.  The head
+    scores NDCG 1, so weight 0 always clears the floor.  A pool whose first
+    k items are not the user's own top k raises ``ValueError``.  The check
+    is exact and O(n), on the head's scores read from the user's row: the
     first k must be in (score desc, id asc) order, and exactly k - 1 of the
     user's items may precede the k-th in that order.  Bisection keeps the
     invariant NDCG(lo) >= threshold and stops once hi - lo <= gap, returning
@@ -164,9 +204,9 @@ def binary_search_lambda_traced(
     halving plus, in the all-pass case, one on lambda_max.
     """
     k = config.k
-    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    head, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     row = matrix.scores[user]
-    head, head_scores = ids[:k], scores[:k]
+    head_scores = row[head]
     last, cut = head[-1], head_scores[-1]
     in_order = np.all(
         (head_scores[:-1] > head_scores[1:])
@@ -178,7 +218,7 @@ def binary_search_lambda_traced(
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the pool starts with the user's own top k, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
-        return 0.0, RankedList(user, pool.items[:k]), 1.0, 0
+        return 0.0, RankedList(user, tuple(head.tolist())), 1.0, 0
 
     # the verified head is the user's own top k, so this is the ideal DCG
     ideal = _dcg_items(row, head, k)
@@ -189,7 +229,7 @@ def binary_search_lambda_traced(
 
     evaluations = 0
     lo, hi = 0.0, config.lambda_max
-    best_lam, best_top, best_value = 0.0, ids[:k], 1.0
+    best_lam, best_top, best_value = 0.0, head, 1.0
     while hi - lo > config.gap:
         mid = (lo + hi) / 2.0
         evaluations += 1
@@ -217,10 +257,14 @@ def _serve(
 ) -> tuple[RankedList, float]:
     """Serve one user whose plain top-K list is already on the ledger.
 
-    ``ranking`` is the user's ranking to at least the candidate pool's
-    depth.  Lifts come from the ledger as it stands, the largest weight that
-    clears the floor picks the list, and the list replaces the plain top-K
-    stand-in on the ledger (or is added on top of it in ``accumulate`` mode).
+    ``ranking`` is the user's ranking to the depth :func:`_serve_depth`
+    gives.  The pool's first k items are the verified head and the rest may
+    come in any order: a pool smaller than the catalog is the ranking's
+    prefix, and a pool of the whole catalog is the ranking's first k plus
+    every id.  Lifts come from the ledger as it stands, the largest weight
+    that clears the floor picks the list, and the list replaces the plain
+    top-K stand-in on the ledger (or is added on top of it in
+    ``accumulate`` mode).
     """
     lifts = normalize_lifts(err_rates(ledger, catalog))
     pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
@@ -255,7 +299,7 @@ def fairsort_offline(
     elif sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all user ids")
 
-    depth = _pool_size(matrix.n_items, config.ratio, config.k)
+    depth = _serve_depth(matrix.n_items, config)
     rankings = [original_ranking(matrix, u, depth) for u in range(m)]
     ledger = ExposureLedger.create(total_exposure(m, config.k), catalog, config.notion)
     for ranking in rankings:
@@ -296,8 +340,7 @@ def fairsort_online_step(
     """
     if state.served != len(state.ndcg_log):
         raise ValueError("online state is inconsistent")
-    # only the candidate pool is ever searched, so only it is ranked
-    ranking = original_ranking(matrix, user, _pool_size(matrix.n_items, config.ratio, config.k))
+    ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
     state.ledger.set_budget(total_exposure(state.served + 1, config.k))
     state.ledger.apply(ranking, config.k)
     served, value = _serve(matrix, catalog, config, state.ledger, ranking)

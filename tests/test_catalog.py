@@ -56,6 +56,14 @@ def test_load_dataset_negative_score_reports_line(tmp_path):
         load_dataset(matrix_file, provider_file)
 
 
+def test_load_dataset_overflowing_scores_name_the_file(tmp_path):
+    # each score is finite, but their total is not
+    matrix_file = write(tmp_path / "m.tsv", "0\t0\t1.7e308\n0\t1\t1.7e308\n")
+    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t1\n")
+    with pytest.raises(DatasetFormatError, match=r"m\.tsv: .*sum to at most 1\.79"):
+        load_dataset(matrix_file, provider_file)
+
+
 def test_load_dataset_duplicate_pair_reports_second_line(tmp_path):
     # a blank line and a repeated identical score still count
     matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n\n1\t1\t0.2\n0\t0\t0.5\n")
@@ -128,6 +136,17 @@ def test_preference_matrix_rejects_negative_and_nonfinite():
         PreferenceMatrix(np.array([[0.1, -0.2]]))
     with pytest.raises(ValueError):
         PreferenceMatrix(np.array([[0.1, np.inf]]))
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PreferenceMatrix(np.array([[np.inf, bad]]))
+
+
+def test_preference_matrix_rejects_overflowing_total():
+    # quality mass and the ideal DCG would be inf, and the search would
+    # return weight 0 with only a RuntimeWarning
+    with pytest.raises(ValueError, match=r"sum to at most 1\.7976931348623157e\+308"):
+        PreferenceMatrix(np.full((2, 2), 1.7e308))
+    PreferenceMatrix(np.full((2, 2), 1e307))
 
 
 def test_original_ranking_sorts_descending():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsort import (
     Catalog,
@@ -27,7 +29,7 @@ from fairsort import (
     total_exposure,
 )
 from fairsort.oracle import grid_lambda_profile
-from fairsort.reranker import binary_search_lambda_traced
+from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
 from conftest import make_search_instance
 
@@ -58,6 +60,11 @@ def test_candidate_pool_of_ranking_prefix():
     assert candidate_pool(prefix, 0.2, 2, n_items=10).items == (4, 1)
     with pytest.raises(ValueError, match="cannot hold"):
         candidate_pool(prefix, 0.4, 2, n_items=10)
+    # a whole-catalog pool needs only the prefix's first k as its head
+    whole = candidate_pool(prefix, 1.0, 2, n_items=10)
+    assert not isinstance(whole, RankedList) and whole.head.items == (4, 1)
+    with pytest.raises(ValueError, match="cannot hold"):
+        candidate_pool(prefix, 1.0, 4, n_items=10)
 
 
 def test_candidate_pool_rounds_up():
@@ -168,7 +175,8 @@ def test_binary_search_rejects_pool_not_led_by_own_top_k(by_provider):
     [
         # the user's own top 3, but not in ranking order
         ([0.9, 0.5, 0.1, 0.05], (1, 0, 2, 3), 3),
-        # item 1 ties the 2nd score with a smaller id, yet sits outside the pool
+        # item 1 ties the 2nd score with a smaller id, yet sits outside the
+        # pool's head (and, as a ranked prefix, outside the pool)
         ([0.9, 0.5, 0.5, 0.1], (0, 2, 3), 2),
     ],
 )
@@ -176,10 +184,56 @@ def test_binary_search_rejects_pool_head_off_the_ranking(scores, pool, k):
     matrix = PreferenceMatrix(np.array([scores]))
     catalog = Catalog.build(np.array([0, 1, 0, 1]), matrix)
     config = RunConfig(k=k, notion=UF, threshold=0.9)
-    for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
-        lifts = LiftAssignment(by_provider=np.array(by_provider))
-        with pytest.raises(ValueError, match="user 0"):
-            binary_search_lambda_traced(matrix, 0, RankedList(0, pool), lifts, config, catalog)
+    # as a ranked prefix, and as the whole catalog led by the same head
+    whole = candidate_pool(RankedList(0, pool[:k]), 1.0, k, n_items=4)
+    assert not isinstance(whole, RankedList)
+    for form in (RankedList(0, pool), whole):
+        for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
+            lifts = LiftAssignment(by_provider=np.array(by_provider))
+            with pytest.raises(ValueError, match="user 0"):
+                binary_search_lambda_traced(matrix, 0, form, lifts, config, catalog)
+
+
+@st.composite
+def whole_catalog_cases(draw):
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integer", "zero", "near-tied"]))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if kind == "integer":
+        scores = [float(s) for s in steps]
+    elif kind == "zero":
+        scores = [0.0] * n
+    else:
+        scores = [0.5 + 1e-4 * s for s in steps]
+    n_providers = draw(st.integers(1, min(4, n)))
+    provider_of = draw(st.permutations([i % n_providers for i in range(n)]))
+    by_provider = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
+                                min_size=n_providers, max_size=n_providers))
+    k = draw(st.integers(1, n))
+    threshold = draw(st.sampled_from([0.5, 0.8, 0.9, 0.97, 1.0]))
+    return scores, provider_of, by_provider, k, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_catalog_cases())
+def test_whole_catalog_serve_matches_search_on_full_ranking(case):
+    # the serve path ranks only the top k and searches all ids as an array;
+    # it must find what the search over the fully ranked pool finds
+    scores, provider_of, by_provider, k, threshold = case
+    matrix = PreferenceMatrix(np.array([scores]))
+    catalog = Catalog.build(np.array(provider_of), matrix)
+    lifts = LiftAssignment(by_provider=np.array(by_provider))
+    config = RunConfig(k=k, notion=UF, threshold=threshold)
+    n = matrix.n_items
+    ranking = original_ranking(matrix, 0, _serve_depth(n, config))
+    pool = candidate_pool(ranking, config.ratio, k, n_items=n)
+    assert len(ranking) == k and isinstance(pool, RankedList) == (k == n)
+    full = candidate_pool(original_ranking(matrix, 0), 1.0)
+    served = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
+    assert served == binary_search_lambda_traced(matrix, 0, full, lifts, config, catalog)
+    lam = served[0] or config.lambda_max
+    assert (rerank_with_lambda(matrix, 0, pool, lifts, lam, k, catalog)
+            == rerank_with_lambda(matrix, 0, full, lifts, lam, k, catalog))
 
 
 def test_binary_search_returns_lambda_max_when_floor_never_breaks():
@@ -196,6 +250,23 @@ def test_binary_search_returns_lambda_max_when_floor_never_breaks():
     assert evals == math.ceil(math.log2(config.lambda_max / config.gap)) + 1
     assert rlist.items == (1,)
     assert value == 1.0
+
+
+@pytest.mark.parametrize("lambda_max", [1.0, 16.0, 3.0, 0.7])
+@pytest.mark.parametrize("threshold", [0.9, 0.5])
+def test_binary_search_ends_at_smallest_accepted_gap(lambda_max, threshold):
+    # a gap below the float spacing at lambda_max used to hang the search
+    gap = math.ulp(lambda_max)
+    with pytest.raises(ValueError, match=rf"gap {gap / 2!r} .*lambda_max {lambda_max!r}"):
+        RunConfig(k=2, notion=UF, lambda_max=lambda_max, gap=gap / 2)
+    matrix = PreferenceMatrix(np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.4]]))
+    catalog = Catalog.build(np.array([0, 0, 1, 1, 2, 2]), matrix)
+    lifts = LiftAssignment(by_provider=np.array([-1.0, 0.5, 0.5]))
+    config = RunConfig(k=2, notion=UF, threshold=threshold, lambda_max=lambda_max, gap=gap)
+    pool = candidate_pool(original_ranking(matrix, 0), 1.0)
+    _, _, value, evals = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
+    assert value >= threshold
+    assert 0 < evals <= math.ceil(math.log2(lambda_max / gap)) + 1
 
 
 def test_binary_search_meets_floor_and_grid_reference():
@@ -368,6 +439,9 @@ def test_run_config_validation():
         RunConfig(k=5, notion=UF, ratio=0.0)
     with pytest.raises(ValueError, match="exposure_update"):
         RunConfig(k=5, notion=UF, exposure_update="overwrite")
+    # adjacent doubles near lambda_max are further apart than this gap
+    with pytest.raises(ValueError, match=r"gap 1e-300 .*lambda_max 1\.0"):
+        RunConfig(k=2, notion=UF, gap=1e-300, lambda_max=1.0)
     # a non-finite bound would leave bisection running forever
     for bound in ({"lambda_max": math.inf}, {"lambda_max": math.nan},
                   {"gap": math.inf}, {"gap": math.nan}):
