@@ -265,20 +265,40 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     return matrix, Catalog.build(provider_of, matrix)
 
 
-def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id.
+# up to this many keys per slot, sorting them all beats partitioning first
+_SORT_PER_SLOT = 4
+
+
+def _smallest_k_at(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest keys, ordered by key, ties by ascending id.
 
     Only the positions whose key is at most the k-th smallest can make the
-    cut, so only they are sorted; when every position makes it, there is no
-    cut to take.  For finite keys this equals the first ``k`` of a full
+    cut, so only they are sorted; a set of few keys per slot is sorted
+    outright.  For finite keys this equals the first ``k`` of a full
     ``np.lexsort((ids, key))``.
     """
-    if k == key.size:
-        return ids[np.lexsort((ids, key))]
+    if key.size <= _SORT_PER_SLOT * k:
+        return np.lexsort((ids, key))[:k]
     cut = np.partition(key, k - 1)[k - 1]
     near = np.flatnonzero(key <= cut)
-    near_ids = ids[near]
-    return near_ids[np.lexsort((near_ids, key[near]))[:k]]
+    return near[np.lexsort((ids[near], key[near]))[:k]]
+
+
+def _smallest_k_seeded(key: np.ndarray, ids: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
+    """As :func:`_smallest_k_at`, given the positions ``seed`` of any k distinct keys.
+
+    Any k keys bound the k-th smallest from above, so only the positions
+    keyed at or below the seed's largest can make the cut; only they are
+    selected among.  A seed close to the answer leaves few of them.
+    """
+    # max over a list: a numpy reduction over k items costs twice as much
+    near = (key <= max(key[seed].tolist())).nonzero()[0]
+    return near[_smallest_k_at(key[near], ids[near], k)]
+
+
+def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id."""
+    return ids[_smallest_k_at(key, ids, k)]
 
 
 def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Catalog, PreferenceMatrix, RankedList, _smallest_k, original_ranking
+from .catalog import (
+    Catalog,
+    PreferenceMatrix,
+    RankedList,
+    _smallest_k,
+    _smallest_k_seeded,
+    original_ranking,
+)
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
 from .quality import QualityReport, _dcg_items, _normalized
 from .velocity import LiftAssignment, err_rates, normalize_lifts
@@ -123,24 +130,18 @@ def _pool_arrays(
     k: int,
     catalog: Catalog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pool's first ``k`` ids, then all its ids with their scores and lifts."""
+    """Positions of the pool's first ``k`` items, then its ids, scores and lifts."""
     if isinstance(pool, _CatalogPool):
         if len(pool.head) != k:
             raise ValueError(f"pool head of {len(pool.head)} items, need {k}")
-        head = np.asarray(pool.head.items, dtype=np.int64)
+        # every id sits at its own position
+        head_at = np.asarray(pool.head.items, dtype=np.int64)
         ids = np.arange(matrix.n_items)
-        return head, ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
+        return head_at, ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
     ids = np.asarray(pool.items, dtype=np.int64)
-    return ids[:k], ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
-
-
-def _top_k(
-    ids: np.ndarray, scores: np.ndarray, item_lifts: np.ndarray, lam: float, k: int
-) -> np.ndarray:
-    """The ``k`` ids with the highest lifted score; ties by ascending id."""
-    return _smallest_k(-(scores + lam * item_lifts), ids, k)
+    return np.arange(k), ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
 
 
 def rerank_with_lambda(
@@ -156,12 +157,13 @@ def rerank_with_lambda(
 
     Ties in the lifted score break by ascending item id, which also keeps
     items of the same provider in their original relative order for every
-    weight.  This is the probe the weight search runs.
+    weight.  The weight search's probes select the same lists from fewer
+    items; this full selection is their reference.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     _, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    return RankedList(user, tuple(_top_k(ids, scores, item_lifts, lam, k).tolist()))
+    return RankedList(user, tuple(_smallest_k(-(scores + lam * item_lifts), ids, k).tolist()))
 
 
 def binary_search_lambda(
@@ -198,13 +200,17 @@ def binary_search_lambda_traced(
     first k must be in (score desc, id asc) order, and exactly k - 1 of the
     user's items may precede the k-th in that order.  Bisection keeps the
     invariant NDCG(lo) >= threshold and stops once hi - lo <= gap, returning
-    the largest probed weight that passed.  When every probe passes, lambda_max
-    itself is probed last and returned if it clears the floor.  At most
+    the largest probed weight that passed.  Each probe selects its top k only
+    among the items keyed at or below the previous probe's list (the first,
+    the head's), which gives the lists :func:`rerank_with_lambda` gives.
+    When every probe passes, lambda_max itself is probed last and returned
+    if it clears the floor.  At most
     ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent: one per
     halving plus, in the all-pass case, one on lambda_max.
     """
     k = config.k
-    head, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    head_at, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    head = ids[head_at]
     row = matrix.scores[user]
     head_scores = row[head]
     last, cut = head[-1], head_scores[-1]
@@ -222,30 +228,36 @@ def binary_search_lambda_traced(
 
     # the verified head is the user's own top k, so this is the ideal DCG
     ideal = _dcg_items(row, head, k)
+    # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
+    # zero, which no comparison sees
+    neg_scores, neg_lifts = -scores, -item_lifts
 
-    def evaluate(lam: float) -> tuple[np.ndarray, float]:
-        top = _top_k(ids, scores, item_lifts, lam, k)
-        return top, _normalized(_dcg_items(row, top, k), ideal)
+    def evaluate(lam: float, seed: np.ndarray) -> tuple[np.ndarray, float]:
+        # the top k at lam as pool positions, selected near the seed list's
+        # keys, and its NDCG; consecutive probes' lists barely differ
+        top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, ids, k, seed)
+        return top_at, _normalized(_dcg_items(scores, top_at, k), ideal)
 
     evaluations = 0
     lo, hi = 0.0, config.lambda_max
-    best_lam, best_top, best_value = 0.0, head, 1.0
+    best_lam, best_at, best_value = 0.0, head_at, 1.0
+    seed = head_at
     while hi - lo > config.gap:
         mid = (lo + hi) / 2.0
         evaluations += 1
-        mid_top, mid_value = evaluate(mid)
+        seed, mid_value = evaluate(mid, seed)
         if mid_value >= config.threshold:
             lo = mid
-            best_lam, best_top, best_value = mid, mid_top, mid_value
+            best_lam, best_at, best_value = mid, seed, mid_value
         else:
             hi = mid
     if hi == config.lambda_max:
         # no probe ever failed; the floor may hold all the way up
         evaluations += 1
-        top, value = evaluate(config.lambda_max)
+        top_at, value = evaluate(config.lambda_max, seed)
         if value >= config.threshold:
-            best_lam, best_top, best_value = config.lambda_max, top, value
-    return best_lam, RankedList(user, tuple(best_top.tolist())), best_value, evaluations
+            best_lam, best_at, best_value = config.lambda_max, top_at, value
+    return best_lam, RankedList(user, tuple(ids[best_at].tolist())), best_value, evaluations
 
 
 def _serve(

@@ -36,13 +36,13 @@ def err_rates(ledger: ExposureLedger, catalog: Catalog) -> np.ndarray:
     """Size-normalized exposure deficit per provider.
 
     Providers with zero quality mass are excluded under quality-weighted
-    fairness (their target is zero, their error rate pinned to 0).
+    fairness (their target is zero, their error rate pinned to 0).  Every
+    provider owns at least one item, so the uniform notion needs no guard.
     """
     deficit = ledger.target - ledger.exposure
     if ledger.notion is FairnessNotion.UNIFORM:
-        denom = catalog.item_count.astype(np.float64)
-    else:
-        denom = catalog.quality_mass
+        return deficit / catalog.item_count
+    denom = catalog.quality_mass
     safe = np.where(denom > 0, denom, 1.0)
     return np.where(denom > 0, deficit / safe, 0.0)
 
@@ -58,10 +58,11 @@ def normalize_lifts(err: np.ndarray) -> LiftAssignment:
     err = np.asarray(err, dtype=np.float64)
     lift = np.zeros_like(err)
     positive = err > 0
-    if positive.any():
-        lift[positive] = err[positive] / err[positive].sum()
+    group = err[positive]
+    # an empty group assigns nothing, whatever its (zero) sum
+    lift[positive] = group / group.sum()
     negative = err < 0
-    if negative.any():
-        lift[negative] = err[negative] / -err[negative].sum()
+    group = err[negative]
+    lift[negative] = group / -group.sum()
     return LiftAssignment(by_provider=lift)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fairsort import PreferenceMatrix, RankedList, dcg, ideal_dcg, ndcg
 from fairsort.oracle import naive_dcg, naive_ndcg
-from fairsort.catalog import _ideal_top, _smallest_k
+from fairsort.catalog import _ideal_top, _smallest_k, _smallest_k_seeded
 
 TWO_ITEMS = PreferenceMatrix(np.array([[0.8, 0.9]]))
 
@@ -91,7 +91,10 @@ def tie_heavy_pools(draw):
 
     Integer scores (possibly an all-zero row, whose keys are -0.0), lifts
     equal across providers or on a coarse dyadic grid, and weights that keep
-    the sums exact, so many keys tie at the k-th smallest.
+    the sums exact, so many keys tie at the k-th smallest.  Keys come either
+    negated after the sum or summed from negated parts, as the search builds
+    them, which differ only in the sign of a zero.  ``seed`` is any k
+    distinct positions.
     """
     n = draw(st.integers(1, 40))
     scores = draw(st.one_of(
@@ -108,16 +111,26 @@ def tie_heavy_pools(draw):
     # distinct ids in ranking order, drawn from a universe that may be larger
     ids = draw(st.permutations(range(n + draw(st.integers(0, 5)))))[:n]
     k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    seed = np.array(draw(st.permutations(range(n)))[:k], dtype=np.int64)
     row = np.array(scores, dtype=np.float64)
-    key = -(row + lam * np.array(lifts)[np.array(provider_of)])
-    return row, key, np.array(ids, dtype=np.int64), k
+    item_lifts = np.array(lifts)[np.array(provider_of)]
+    if draw(st.booleans()):
+        key = -(row + lam * item_lifts)
+    else:
+        key = -row + lam * -item_lifts
+    return row, key, np.array(ids, dtype=np.int64), k, seed
 
 
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_pools())
 def test_smallest_k_matches_full_sort(pool):
-    row, key, ids, k = pool
-    expected = ids[np.lexsort((ids, key))[:k]]
+    row, key, ids, k, seed = pool
+    answer = np.lexsort((ids, key))[:k]
+    expected = ids[answer]
     assert np.array_equal(_smallest_k(key, ids, k), expected)
+    # selecting only among the keys at or below any k keys' largest, down to
+    # the answer's own largest
+    for at in (seed, answer):
+        assert np.array_equal(ids[_smallest_k_seeded(key, ids, k, at)], expected)
     expected_top = np.argsort(-row, kind="stable")[:k]
     assert np.array_equal(_ideal_top(row, k), expected_top)

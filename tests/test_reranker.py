@@ -28,7 +28,7 @@ from fairsort import (
     top_k,
     total_exposure,
 )
-from fairsort.oracle import grid_lambda_profile
+from fairsort.oracle import grid_lambda_profile, naive_ndcg
 from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
 from conftest import make_search_instance
@@ -214,11 +214,43 @@ def whole_catalog_cases(draw):
     return scores, provider_of, by_provider, k, threshold
 
 
+def reference_search(matrix, user, pool, lifts, config, catalog):
+    """Plain bisection whose every probe is a full re-rank scored by ``ndcg``."""
+    k = config.k
+    ids = pool.items if isinstance(pool, RankedList) else range(matrix.n_items)
+    pool_lifts = lifts.by_provider[catalog.provider_of[list(ids)]]
+
+    def probe(lam):
+        rlist = rerank_with_lambda(matrix, user, pool, lifts, lam, k, catalog)
+        return rlist, ndcg(matrix, user, rlist, k)
+
+    best = (0.0, *probe(0.0))
+    if np.all(pool_lifts == pool_lifts[0]):
+        return (*best, 0)
+    evaluations = 0
+    lo, hi = 0.0, config.lambda_max
+    while hi - lo > config.gap:
+        mid = (lo + hi) / 2.0
+        evaluations += 1
+        rlist, value = probe(mid)
+        if value >= config.threshold:
+            lo, best = mid, (mid, rlist, value)
+        else:
+            hi = mid
+    if hi == config.lambda_max:
+        evaluations += 1
+        rlist, value = probe(config.lambda_max)
+        if value >= config.threshold:
+            best = (config.lambda_max, rlist, value)
+    return (*best, evaluations)
+
+
 @settings(max_examples=300, deadline=None)
 @given(whole_catalog_cases())
 def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     # the serve path ranks only the top k and searches all ids as an array;
-    # it must find what the search over the fully ranked pool finds
+    # it must find what the search over the fully ranked pool finds, and
+    # what a bisection of full re-ranks finds
     scores, provider_of, by_provider, k, threshold = case
     matrix = PreferenceMatrix(np.array([scores]))
     catalog = Catalog.build(np.array(provider_of), matrix)
@@ -231,9 +263,67 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     full = candidate_pool(original_ranking(matrix, 0), 1.0)
     served = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
     assert served == binary_search_lambda_traced(matrix, 0, full, lifts, config, catalog)
+    assert served == reference_search(matrix, 0, pool, lifts, config, catalog)
     lam = served[0] or config.lambda_max
     assert (rerank_with_lambda(matrix, 0, pool, lifts, lam, k, catalog)
             == rerank_with_lambda(matrix, 0, full, lifts, lam, k, catalog))
+    # a ranked-prefix pool holds its items in score order, not id order
+    half = dataclasses.replace(config, ratio=0.5)
+    size = math.ceil(n * half.ratio)
+    if size >= k:
+        ranking = original_ranking(matrix, 0, _serve_depth(n, half))
+        prefix = candidate_pool(ranking, half.ratio, k, n_items=n)
+        assert isinstance(prefix, RankedList) and len(prefix) == size
+        assert (binary_search_lambda_traced(matrix, 0, prefix, lifts, half, catalog)
+                == reference_search(matrix, 0, prefix, lifts, half, catalog))
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(3, 13))
+    kind = draw(st.sampled_from(["integer", "one-decimal", "near-tied"]))
+    if kind == "integer":
+        scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    elif kind == "one-decimal":
+        scores = [v / 10 for v in draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))]
+    else:
+        scores = draw(st.lists(st.floats(0.5, 0.501), min_size=n, max_size=n))
+    n_providers = draw(st.integers(1, min(4, n)))
+    provider_of = draw(st.permutations([i % n_providers for i in range(n)]))
+    by_provider = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_providers,
+                                max_size=n_providers))
+    ratio = draw(st.sampled_from([1.0, 0.5]))
+    k = draw(st.integers(1, math.ceil(n * ratio)))
+    threshold = draw(st.floats(0.5, 1.0))
+    return scores, provider_of, by_provider, ratio, k, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_binary_search_agrees_with_oracle_profile(case):
+    scores, provider_of, by_provider, ratio, k, threshold = case
+    matrix = PreferenceMatrix(np.array([scores], dtype=np.float64))
+    catalog = Catalog.build(np.array(provider_of), matrix)
+    lifts = LiftAssignment(by_provider=np.array(by_provider))
+    config = RunConfig(k=k, notion=UF, threshold=threshold, ratio=ratio)
+    n, gap, lambda_max = matrix.n_items, config.gap, config.lambda_max
+    ranking = original_ranking(matrix, 0, _serve_depth(n, config))
+    pool = candidate_pool(ranking, ratio, k, n_items=n)
+    ids = list(pool.items) if isinstance(pool, RankedList) else list(range(n))
+    lam, served, value, _ = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
+    assert value >= threshold
+    assert naive_ndcg(scores, served.items, k) == pytest.approx(value, abs=1e-12)
+    pool_lifts = lifts.by_provider[catalog.provider_of[ids]]
+    if np.all(pool_lifts == pool_lifts[0]):
+        # constant lifts within the pool reorder nothing: the search is skipped
+        assert lam == 0.0 and served == RankedList(0, ranking.items[:k])
+        return
+    profile = [v for _, v in grid_lambda_profile(matrix, 0, ids, lifts, catalog, lambda_max, 257, k)]
+    assert all(a >= b - 1e-12 for a, b in zip(profile, profile[1:]))
+    if lam < lambda_max - 2 * gap:
+        # bisection stopped within gap of a failing weight
+        _, beyond = grid_lambda_profile(matrix, 0, ids, lifts, catalog, lam + 2 * gap, 2, k)[-1]
+        assert beyond < threshold
 
 
 def test_binary_search_returns_lambda_max_when_floor_never_breaks():
