@@ -54,12 +54,59 @@ CASES.update({
         scenario="online", model="fairsort", notion="qf", k=[3, 5],
         threshold=0.95, lambda_max=8.0, gap=0.01,
     ),
+    "offline-files": dict(scenario="offline", model="fairsort", notion="qf", dataset="files"),
+    "online-files": dict(scenario="online", model="fairsort", dataset="files"),
 })
 
+FILE_CASES = sorted(case for case, overrides in CASES.items() if "dataset" in overrides)
 
-def run_case(case: str, out_dir: Path) -> dict[str, str]:
+
+def matrix_rows() -> list[str]:
+    """Rows of a 10-user, 24-item preference file.
+
+    Scores are multiples of 0.25, so rankings are full of ties; some pairs
+    are written as explicit zero rows, and every row of user 3 is zero.
+    """
+    rows = []
+    for user in range(10):
+        for item in range(24):
+            if user == 3:
+                if item < 3:
+                    rows.append(f"{user}\t{item}\t0")
+            elif (user + 2 * item) % 3 == 0:
+                rows.append(f"{user}\t{item}\t{(user * 5 + item * 3) % 7 / 4!r}")
+            elif user * item % 7 == 1:
+                rows.append(f"{user}\t{item}\t0")
+    return rows
+
+
+def write_dataset(directory: Path, layout: str) -> dict[str, str]:
+    """Write the file-backed dataset; return its config keys.
+
+    The ``bulk`` layout has CRLF endings and a blank line; ``scanned`` adds
+    a trailing tab to one row, which sends the file to the line-by-line
+    parser.  Both hold the same matrix.
+    """
+    rows = matrix_rows()
+    if layout == "scanned":
+        rows[7] += "\t"
+    matrix = directory / "matrix.tsv"
+    providers = directory / "providers.tsv"
+    matrix.write_bytes(("\r\n".join(rows[:20] + [""] + rows[20:]) + "\r\n").encode())
+    # a skewed assignment: items 0-11, 12-19 and 20-23
+    providers.write_text("".join(
+        f"{item}\t{(item >= 12) + (item >= 20)}\n" for item in range(24)
+    ))
+    return {"matrix": str(matrix), "provider_map": str(providers)}
+
+
+def run_case(case: str, out_dir: Path, layout: str = "bulk") -> dict[str, str]:
     """Run one case; map every written file name to its SHA-256."""
-    spec = build_spec(dict(BASE, out=str(out_dir), **CASES[case]))
+    overrides = CASES[case]
+    if case in FILE_CASES:
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        overrides = dict(overrides, **write_dataset(out_dir.parent, layout))
+    spec = build_spec(dict(BASE, out=str(out_dir), **overrides))
     written = run_experiment(spec)
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in written)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
@@ -73,6 +120,14 @@ DIGESTS: dict[str, dict[str, str]] = {
             "595bd89b171de09ad222a184c14806aa717ca02d1a66a81592a652a967ca18bb",
         "summary.csv":
             "65b6e8374e210328ec13943b192a1ec142e6aeda8d26a4b440bdf29ebcd7509a",
+    },
+    "offline-files": {
+        "ledger_fairsort_offline_K4.tsv":
+            "94ac302417545fcc57eec45f90c9ecb8cbaa8e690e7cfd585a9925e5eac61f12",
+        "ndcg_users_fairsort_offline_K4.tsv":
+            "8f0cf6d0621af85fc6dd8c1c8c9b5e3e88979c8d067eae610e653fc3440d8053",
+        "summary.csv":
+            "1de2e7c250f5e78e85572df2ffb64e8835bcd1b10e5ca5eac284c62f776dae40",
     },
     "offline-qf-all_random": {
         "ledger_all_random_offline_K4.tsv":
@@ -190,6 +245,14 @@ DIGESTS: dict[str, dict[str, str]] = {
         "timeseries_fairsort_K4.csv":
             "2a2982b2f0a84a4137c71e34b645fc81a3ceac9022df8f2835ce773504d54fe6",
     },
+    "online-files": {
+        "ledger_fairsort_online_K4.tsv":
+            "f64449840f38a499986f688017835322a08b306c38a9604c27f6e97903bbe7f4",
+        "summary.csv":
+            "673ce4ba33afb0b6fbbb5953de9d9948e47dab96f8f5b918484cc6246ebc2af2",
+        "timeseries_fairsort_K4.csv":
+            "d0811ded0ba98e59dcc88286e514f82ee3a6e44aaf46332b82934f9c03066aa4",
+    },
     "online-qf-all_random": {
         "ledger_all_random_online_K4.tsv":
             "0d4767646cf7e5cb468b09f82103a3121f9d6cbfeeab83975ef1cf36cfa96a71",
@@ -296,6 +359,11 @@ DIGESTS: dict[str, dict[str, str]] = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_bytes_unchanged(case, tmp_path):
     assert run_case(case, tmp_path / "out") == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", FILE_CASES)
+def test_scanned_file_gives_same_bytes(case, tmp_path):
+    assert run_case(case, tmp_path / "out", layout="scanned") == DIGESTS[case]
 
 
 if __name__ == "__main__":
