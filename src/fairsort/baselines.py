@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PreferenceMatrix, RankedList, _smallest_k, original_ranking
+from .catalog import PreferenceMatrix, RankedList, _ideal_top, _smallest_k, original_ranking
 from .exposure import _slot_weights
 
 
@@ -29,15 +29,16 @@ def mixed_k(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     sampled without replacement from the rest of the ranking.  ``seed`` is
     anything ``numpy.random.default_rng`` accepts.
     """
-    ranking = original_ranking(matrix, user)
-    if len(ranking) < k:
-        raise ValueError(f"k={k} exceeds the {len(ranking)}-item universe")
+    if not 0 <= user < matrix.n_users:
+        raise ValueError(f"user {user} out of range")
+    if matrix.n_items < k:
+        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
     head_len = (k + 1) // 2
-    head = ranking.items[:head_len]
-    remainder = np.asarray(ranking.items[head_len:], dtype=np.int64)
+    # the draw picks by position, so the remainder keeps ranking order
+    ranking = _ideal_top(matrix.scores[user], matrix.n_items)
     rng = np.random.default_rng(seed)
-    tail = rng.choice(remainder, size=k - head_len, replace=False)
-    return RankedList(user, head + tuple(tail.tolist()))
+    tail = rng.choice(ranking[head_len:], size=k - head_len, replace=False)
+    return RankedList(user, tuple(ranking[:head_len].tolist() + tail.tolist()))
 
 
 def all_random(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,10 +161,12 @@ def _parse_int(text: str, path: Path, lineno: int, what: str) -> int:
 def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tuple[PreferenceMatrix, Catalog]:
     """Read a preference matrix and provider map from disk.
 
-    Raises :class:`DatasetFormatError` with a file/line reference on any
-    malformed row, negative score, item without a provider, user id gap,
-    repeated (user, item) pair, or duplicate item-provider assignment, and
-    with the file name when the scores' total overflows.
+    A well-formed matrix file is read in bulk by numpy's C reader; any
+    other file is parsed line by line, and that parser alone reports
+    errors.  Raises :class:`DatasetFormatError` with a file/line reference
+    on any malformed row, negative score, item without a provider, user id
+    gap, repeated (user, item) pair, or duplicate item-provider assignment,
+    and with the file name when the scores' total overflows.
     """
     provider_map_path = Path(provider_map_path)
     matrix_path = Path(matrix_path)
@@ -205,6 +208,73 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
             f"{provider_map_path}: provider ids must be 0-based contiguous"
         )
 
+    scores = _read_scores(matrix_path, n_items)
+    if scores is None:
+        scores = _scan_scores(matrix_path, n_items)
+    try:
+        matrix = PreferenceMatrix(scores)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{matrix_path}: {exc}") from None
+    return matrix, Catalog.build(provider_of, matrix)
+
+
+# one matrix row as the bulk reader returns it
+_TRIPLET = np.dtype([("user", np.int64), ("item", np.int64), ("score", np.float64)])
+# the only bytes the bulk reader is given: numpy's reader accepts \x1c-\x1f
+# around a number, which int() and float() reject, and can misread (or
+# crash on) a non-ASCII character next to an integer's digits
+_PLAIN_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7F))
+
+
+def _read_scores(matrix_path: Path, n_items: int) -> np.ndarray | None:
+    """The dense scores of a well-formed matrix file, read in bulk.
+
+    Returns ``None`` for anything but a regular file (a pipe can be read
+    only once), a file with other bytes than tabs, line breaks and
+    printable ASCII, one the reader rejects or warns about (an empty file),
+    and one whose rows break the format; :func:`_scan_scores` then parses
+    it and names the offending line.
+    """
+    if not matrix_path.is_file():
+        return None
+    with open(matrix_path, "rb") as fh:
+        if fh.read().translate(None, _PLAIN_BYTES):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                matrix_path, dtype=_TRIPLET, delimiter="\t", comments=None,
+                ndmin=1, encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return None
+    user, item, score = rows["user"], rows["item"], rows["score"]
+    # a user id at or above the row count leaves some user without rows;
+    # ruling it out first also bounds the count and the pair keys below
+    if user.min() < 0 or user.max() >= len(rows) or item.min() < 0 or item.max() >= n_items:
+        return None
+    # false for NaN and inf as well as for negative scores
+    if not np.all((score >= 0) & (score < np.inf)):
+        return None
+    if not np.bincount(user).all():
+        return None
+    pair = user * n_items + item
+    ordered = np.sort(pair)
+    if np.any(ordered[1:] == ordered[:-1]):
+        return None
+    scores = np.zeros((int(user.max()) + 1, n_items))
+    scores.reshape(-1)[pair] = score
+    return scores
+
+
+def _scan_scores(matrix_path: Path, n_items: int) -> np.ndarray:
+    """Parse a matrix file line by line into dense scores.
+
+    The reference parser: it raises the :class:`DatasetFormatError` of the
+    first offending line, and takes every file the bulk reader takes to the
+    same scores.
+    """
     # one row of scores per user seen so far; -1 marks a pair not yet given
     rows: dict[int, list[float]] = {}
     with open(matrix_path, encoding="utf-8") as fh:
@@ -258,11 +328,7 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
         )
     scores = np.array([rows[u] for u in range(len(rows))])
     scores[scores < 0] = 0.0
-    try:
-        matrix = PreferenceMatrix(scores)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{matrix_path}: {exc}") from None
-    return matrix, Catalog.build(provider_of, matrix)
+    return scores
 
 
 # up to this many keys per slot, sorting them all beats partitioning first

@@ -1,5 +1,8 @@
 """Dataset parsing, ranking order, and the synthetic generator."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from fairsort import (
     load_dataset,
     original_ranking,
 )
+from fairsort import catalog as catalog_module
+from fairsort.catalog import _scan_scores
 from fairsort.oracle import selection_sort_ranking
 
 
@@ -102,6 +107,107 @@ def test_load_dataset_user_gap(tmp_path):
     write(tmp_path / "m.tsv", "0\t0\t0.5\n1\t0\t0\n2\t1\t0.25\n")
     matrix, _ = load_dataset(matrix_file, provider_file)
     assert matrix.scores.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.25]]
+
+
+def test_load_dataset_reads_well_formed_files_in_bulk(tmp_path, monkeypatch):
+    scanned = []
+
+    def scan(path, n_items):
+        scanned.append(path.name)
+        return _scan_scores(path, n_items)
+
+    monkeypatch.setattr(catalog_module, "_scan_scores", scan)
+    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t1\n")
+    # CRLF endings, a blank line and an explicit zero row
+    bulk = write(tmp_path / "bulk.tsv", "1\t1\t0.25\r\n\r\n0\t0\t0.5\r\n1\t0\t0\r\n")
+    # a trailing tab is valid, but only the line scanner takes it
+    odd = write(tmp_path / "odd.tsv", "1\t1\t0.25\n0\t0\t0.5\t\n")
+    expected = [[0.5, 0.0], [0.0, 0.25]]
+    assert load_dataset(bulk, provider_file)[0].scores.tolist() == expected
+    assert scanned == []
+    assert load_dataset(odd, provider_file)[0].scores.tolist() == expected
+    assert scanned == ["odd.tsv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_dataset_reads_a_named_pipe_once(tmp_path):
+    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t1\n")
+    pipe = tmp_path / "m.tsv"
+    os.mkfifo(pipe)
+    loaded = {}
+
+    def load():
+        loaded["scores"] = load_dataset(pipe, provider_file)[0].scores.tolist()
+
+    reader = threading.Thread(target=load, daemon=True)
+    reader.start()
+    pipe.write_text("0\t0\t0.5\n1\t1\t0.25\n")
+    reader.join(timeout=10)
+    if reader.is_alive():
+        # opened again, the pipe waits for a writer: one that writes nothing
+        # lets the reader go on
+        pipe.write_text("")
+        reader.join(timeout=10)
+    assert loaded.get("scores") == [[0.5, 0.0], [0.0, 0.25]]
+
+
+# rows with odd but valid text, and rows that break the format; a bare \r
+# ends a line, and \x1c and a non-ASCII digit are what numpy's reader
+# would take around or as a number where int() and float() do not
+ODD_ROWS = [
+    "", "  ", "\t", "\r", " 0\t0\t1", "0\t+1\t.5", "1_0\t0\t1", "\u0661\t0\t1",
+    "0\x1c\t1\t1", "0\t1\t1\x1c", "0\t\u0661\U00082a06\t1",
+    "0\t0\tnan", "0\t1\tinf", "0\t1\t-inf", "0\t1\t1e400", "0\t2\t-0.0", "0\t2\t-0.5",
+    "-1\t0\t1", "0\t-1\t1", "0\t3\t1", "99999999999999999999\t0\t1",
+    "1099511627776\t0\t1", "9223372036854775807\t2\t1", "#0\t0\t1", "0\t0", "0\t0\t1\t1",
+]
+SCORES = ["0", "0.5", "1", "0.25", "2.5e-3", "-0.0", "1e-310", "7", "0.1"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """A 3-item matrix file: valid rows of every user, with up to two twists.
+
+    A twist inserts an odd row, repeats a valid row or puts a trailing tab
+    on the last one.  Dropping a user's rows leaves a gap, and an odd row
+    may repeat a (user, item) pair.
+    """
+    users = draw(st.lists(st.sets(st.integers(0, 2), min_size=1), max_size=4))
+    rows = [
+        f"{user}\t{item}\t{draw(st.sampled_from(SCORES))}"
+        for user, items in enumerate(users) for item in sorted(items)
+        if draw(st.integers(0, 9))
+    ]
+    rows = draw(st.permutations(rows))
+    twists = st.sampled_from(["none", "repeat", "trailing tab"] + ODD_ROWS)
+    for twist in draw(st.lists(twists, min_size=1, max_size=2)):
+        if twist == "trailing tab" and rows:
+            rows[-1] += "\t"
+        elif twist == "repeat" and rows:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+        elif twist in ODD_ROWS:
+            rows.insert(draw(st.integers(0, len(rows))), twist)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=matrix_texts())
+def test_load_dataset_agrees_with_line_scanner(tmp_path_factory, text):
+    directory = tmp_path_factory.mktemp("agree")
+    matrix_file = directory / "m.tsv"
+    matrix_file.write_bytes(text.encode("utf-8"))
+    provider_file = write(directory / "p.tsv", "0\t0\n1\t0\n2\t1\n")
+    try:
+        expected = _scan_scores(matrix_file, 3)
+    except DatasetFormatError as exc:
+        with pytest.raises(DatasetFormatError) as raised:
+            load_dataset(matrix_file, provider_file)
+        assert str(raised.value) == str(exc)
+        return
+    scores = load_dataset(matrix_file, provider_file)[0].scores
+    assert np.array_equal(scores, expected)
+    assert np.array_equal(np.signbit(scores), np.signbit(expected))
 
 
 def test_ranked_list_rejects_duplicates():

@@ -28,6 +28,7 @@ from fairsort import (
     top_k,
     total_exposure,
 )
+from fairsort.harness import make_trace
 from fairsort.oracle import grid_lambda_profile, naive_ndcg
 from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
@@ -488,6 +489,49 @@ def test_online_conserves_exposure_each_step():
         )
     assert [u for u, _ in state.ndcg_log] == trace
     assert all(v >= config.threshold - 1e-9 for _, v in state.ndcg_log)
+
+
+def add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to a sum held exactly as non-overlapping floats.
+
+    These are the partials ``math.fsum`` keeps while it adds, so
+    ``math.fsum(partials)`` is the correctly rounded sum of every ``x``
+    added so far.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+@pytest.mark.parametrize("notion", list(FairnessNotion))
+def test_online_ledger_matches_exact_sum_over_long_trace(notion):
+    matrix, catalog = generate_synthetic(20, 60, 6, 1.5, seed=13)
+    # a coarse gap: fewer probes per request, and the ledger is what is tested
+    config = RunConfig(k=5, notion=notion, ratio=0.5, gap=0.5)
+    weights = (1.0 / np.log2(np.arange(2, config.k + 2))).tolist()
+    provider_of = catalog.provider_of.tolist()
+    # every served list's slot weights, added exactly, per provider
+    exact: list[list[float]] = [[] for _ in range(catalog.n_providers)]
+    state = OnlineState.fresh(catalog, notion)
+    trace = make_trace(matrix.n_users, 500, seed=13)
+    assert len(trace) == 10**4
+    for user in trace:
+        served, state = fairsort_online_step(state, matrix, catalog, user, config)
+        for item, weight in zip(served.items, weights):
+            add_exact(exact[provider_of[item]], weight)
+        exposure = state.ledger.exposure
+        bound = 1e-12 * state.ledger.budget
+        assert abs(exposure.sum() - math.fsum(x for p in exact for x in p)) <= bound
+        for provider, partials in enumerate(exact):
+            assert abs(exposure[provider] - math.fsum(partials)) <= bound
 
 
 def test_online_second_request_moves_exposure_off_dominant_provider():
