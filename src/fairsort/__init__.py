@@ -7,7 +7,7 @@ baselines, fairness metrics, slow checking oracles and an experiment
 harness with a CLI (``fairsort run``).
 """
 
-from .baselines import ItemExposureTracker, all_random, min_exposure, mixed_k, top_k
+from .baselines import all_random, min_exposure, mixed_k, top_k
 from .catalog import (
     Catalog,
     DatasetFormatError,
@@ -47,7 +47,6 @@ __all__ = [
     "ExperimentSpec",
     "ExposureLedger",
     "FairnessNotion",
-    "ItemExposureTracker",
     "LedgerError",
     "LiftAssignment",
     "MetricsReport",

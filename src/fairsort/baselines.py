@@ -7,8 +7,6 @@ exposure equality with no regard for preference at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import PreferenceMatrix, RankedList, _ideal_top, _smallest_k, original_ranking
@@ -50,33 +48,17 @@ def all_random(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     return RankedList(user, tuple(int(i) for i in picks))
 
 
-@dataclass
-class ItemExposureTracker:
-    """Accumulated per-item exposure for the min-exposure baseline."""
-
-    exposure: np.ndarray
-
-    @classmethod
-    def fresh(cls, n_items: int) -> "ItemExposureTracker":
-        return cls(exposure=np.zeros(n_items, dtype=np.float64))
-
-
-def min_exposure(
-    tracker: ItemExposureTracker,
-    catalog,
-    matrix: PreferenceMatrix,
-    user: int,
-    k: int,
-) -> RankedList:
+def min_exposure(exposure: np.ndarray, user: int, k: int) -> RankedList:
     """Fill each slot with the least-exposed item so far, ties by item id.
 
-    Exposure counts are frozen while a list is being built and credited per
+    ``exposure`` holds each item's accumulated exposure and is updated in
+    place.  Exposure is frozen while a list is being built and credited per
     slot weight once it is complete, so the list is simply the k smallest
-    entries of the tracker.
+    entries of ``exposure``.
     """
-    n = tracker.exposure.size
+    n = exposure.size
     if n < k:
         raise ValueError(f"k={k} exceeds the {n}-item universe")
-    items = _smallest_k(tracker.exposure, np.arange(n), k)
-    tracker.exposure[items] += _slot_weights(k)
+    items = _smallest_k(exposure, np.arange(n), k)
+    exposure[items] += _slot_weights(k)
     return RankedList(user, tuple(items.tolist()))

@@ -51,14 +51,21 @@ def total_exposure(list_count: int, k: int) -> float:
     return float(list_count * _slot_weights(k).sum())
 
 
+def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
+    """Each provider's size under the notion: item count (uf) or quality mass (qf)."""
+    if notion is FairnessNotion.UNIFORM:
+        return catalog.item_count
+    return catalog.quality_mass
+
+
 def _fair_shares(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
     """Each provider's fraction of any budget under the given notion."""
-    if notion is FairnessNotion.UNIFORM:
-        return catalog.item_count / catalog.item_count.sum()
-    mass_total = catalog.quality_mass.sum()
-    if mass_total <= 0:
+    sizes = _provider_sizes(catalog, notion)
+    total = sizes.sum()
+    # every provider owns an item, so only quality mass can total zero
+    if total <= 0:
         raise ValueError("quality-weighted targets need positive total quality mass")
-    return catalog.quality_mass / mass_total
+    return sizes / total
 
 
 def fair_targets(budget: float, catalog: Catalog, notion: FairnessNotion) -> np.ndarray:

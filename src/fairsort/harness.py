@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,10 @@ SUMMARY_COLUMNS = [
     "uir_mu_source",
 ]
 
+TIMESERIES_COLUMNS = [
+    "step", "user", "ndcg", "running_dcf", "running_dpf", "running_avg_quality",
+]
+
 
 class ConfigError(ValueError):
     """Raised when an experiment config is malformed."""
@@ -58,10 +62,10 @@ class ExperimentSpec:
     scenario: str = "offline"
     k_values: tuple[int, ...] = (10,)
     notion: FairnessNotion = FairnessNotion.UNIFORM
-    threshold: float = 0.9
-    lambda_max: float = 16.0
-    gap: float = 2.0**-7
-    ratio: float = 1.0
+    threshold: float = RunConfig.threshold
+    lambda_max: float = RunConfig.lambda_max
+    gap: float = RunConfig.gap
+    ratio: float = RunConfig.ratio
     seed: int = 0
     rounds: int = 10
     out_dir: Path = Path("out")
@@ -74,7 +78,7 @@ class ExperimentSpec:
     matrix_path: Path | None = None
     provider_map_path: Path | None = None
     service_order: str = "ascending"
-    exposure_update: str = "replace"
+    exposure_update: str = RunConfig.exposure_update
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -100,15 +104,9 @@ class ExperimentSpec:
         self.run_config(self.k_values[0])
 
     def run_config(self, k: int) -> RunConfig:
-        return RunConfig(
-            k=k,
-            notion=self.notion,
-            threshold=self.threshold,
-            lambda_max=self.lambda_max,
-            gap=self.gap,
-            ratio=self.ratio,
-            exposure_update=self.exposure_update,
-        )
+        # every RunConfig field but k is a spec field of the same name
+        shared = {f.name: getattr(self, f.name) for f in fields(RunConfig) if f.name != "k"}
+        return RunConfig(k=k, **shared)
 
 
 def _integer(value) -> int:
@@ -184,9 +182,6 @@ def _load(spec: ExperimentSpec) -> tuple[PreferenceMatrix, Catalog]:
 class CellResult:
     """One (model, scenario, K) run: raw lists plus derived numbers."""
 
-    model: str
-    scenario: str
-    k: int
     lists: tuple[RankedList, ...]
     ledger: ExposureLedger
     request_ndcgs: tuple[float, ...]
@@ -206,20 +201,18 @@ class CellResult:
         )
 
 
-def _baseline_policy(model: str, k: int, matrix: PreferenceMatrix, catalog: Catalog):
+def _baseline_policy(model: str, k: int, matrix: PreferenceMatrix):
     """A baseline model as a ``(user, seed) -> list`` policy for one cell.
 
     Every policy looks its baseline up at call time; min-exposure keeps one
-    item-exposure tracker for the whole cell.
+    per-item exposure array for the whole cell.
     """
-    tracker = baselines.ItemExposureTracker.fresh(matrix.n_items)
+    exposure = np.zeros(matrix.n_items, dtype=np.float64)
     policies = {
         "top_k": lambda user, seed: baselines.top_k(matrix, user, k),
         "mixed_k": lambda user, seed: baselines.mixed_k(matrix, user, k, seed),
         "all_random": lambda user, seed: baselines.all_random(matrix, user, k, seed),
-        "min_exposure": lambda user, seed: baselines.min_exposure(
-            tracker, catalog, matrix, user, k
-        ),
+        "min_exposure": lambda user, seed: baselines.min_exposure(exposure, user, k),
     }
     if model not in policies:
         raise ConfigError(f"unknown model {model!r}")
@@ -242,7 +235,7 @@ def run_cell_offline(
         served = [lists[u] for u in range(m)]
         values = [quality_report.per_user[u] for u in range(m)]
     else:
-        policy = _baseline_policy(model, k, matrix, catalog)
+        policy = _baseline_policy(model, k, matrix)
         ledger = ExposureLedger.create(total_exposure(m, k), catalog, spec.notion)
         served, values = [], []
         for user in range(m):
@@ -251,9 +244,6 @@ def run_cell_offline(
             served.append(rlist)
             values.append(ndcg(matrix, user, rlist, k))
     return CellResult(
-        model=model,
-        scenario="offline",
-        k=k,
         lists=tuple(served),
         ledger=ledger,
         request_ndcgs=tuple(values),
@@ -290,7 +280,7 @@ def run_cell_online(
             rlist, _ = fairsort_online_step(state, matrix, catalog, user, config)
             return rlist, state.ndcg_log[-1][1]
     else:
-        policy = _baseline_policy(model, k, matrix, catalog)
+        policy = _baseline_policy(model, k, matrix)
 
         def serve(user: int, step: int) -> tuple[RankedList, float]:
             ledger.set_budget(total_exposure(step, k))
@@ -316,24 +306,15 @@ def run_cell_online(
             continue
 
         averages = np.where(user_count > 0, user_total / np.maximum(user_count, 1), 0.0)
-        timeseries.append(
-            {
-                "step": step,
-                "user": user,
-                "ndcg": value,
-                "running_dcf": float(np.var(averages)),
-                "running_dpf": metrics.dpf(ledger, catalog, spec.notion),
-                "running_avg_quality": running_total / step,
-            }
-        )
+        timeseries.append(dict(zip(TIMESERIES_COLUMNS, (
+            step, user, value, float(np.var(averages)),
+            metrics.dpf(ledger, catalog, spec.notion), running_total / step,
+        ))))
 
     per_user = {
         u: (user_total[u] / user_count[u] if user_count[u] else 0.0) for u in range(m)
     }
     return CellResult(
-        model=model,
-        scenario="online",
-        k=k,
         lists=tuple(served),
         ledger=ledger,
         request_ndcgs=tuple(request_ndcgs),
@@ -411,20 +392,9 @@ def _write_ledger_file(path: Path, ledger: ExposureLedger) -> Path:
 def _write_timeseries(path: Path, rows: list[dict]) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["step", "user", "ndcg", "running_dcf", "running_dpf", "running_avg_quality"]
-        )
+        writer.writerow(TIMESERIES_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    str(row["step"]),
-                    str(row["user"]),
-                    _fmt(row["ndcg"]),
-                    _fmt(row["running_dcf"]),
-                    _fmt(row["running_dpf"]),
-                    _fmt(row["running_avg_quality"]),
-                ]
-            )
+            writer.writerow([_fmt(row[column]) for column in TIMESERIES_COLUMNS])
     return path
 
 
@@ -493,12 +463,9 @@ def main(argv: list[str] | None = None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config must be a flat JSON object")
+        # every other dest of the parser is a config key
         overrides = {
-            key: getattr(args, key)
-            for key in (
-                "model", "scenario", "k", "threshold", "lambda_max",
-                "gap", "ratio", "notion", "seed", "out",
-            )
+            key: value for key, value in vars(args).items() if key not in ("command", "config")
         }
         spec = build_spec(config, overrides)
         written = run_experiment(spec)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog
-from .exposure import ExposureLedger, FairnessNotion
+from .exposure import ExposureLedger, FairnessNotion, _provider_sizes
 
 _BIN_EDGES = np.array([0.0, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
 
@@ -34,14 +34,11 @@ def dpf(ledger: ExposureLedger, catalog: Catalog, notion: FairnessNotion) -> flo
     Uniform fairness normalizes by item count; quality-weighted fairness by
     quality mass, skipping providers whose mass is zero.
     """
-    if notion is FairnessNotion.UNIFORM:
-        denom = catalog.item_count.astype(np.float64)
-    else:
-        denom = catalog.quality_mass
-    valid = denom > 0
+    sizes = _provider_sizes(catalog, notion)
+    valid = sizes > 0
     if not valid.any():
         raise ValueError("no provider has a positive denominator")
-    return float(np.var(ledger.exposure[valid] / denom[valid]))
+    return float(np.var(ledger.exposure[valid] / sizes[valid]))
 
 
 def uir(
@@ -50,15 +47,13 @@ def uir(
     mu1: float,
     mu2: float,
     avg_utility: float,
-    w1: float = 1.0,
-    w2: float = 1.0,
 ) -> float:
     """Calibrated fairness-per-utility score; lower is better."""
     if mu1 <= 0 or mu2 <= 0:
         raise ValueError("calibration constants must be positive")
     if avg_utility <= 0:
         raise ValueError("average utility must be positive")
-    return (w1 * dcf_val / mu1 + w2 * dpf_val / mu2) / avg_utility
+    return (dcf_val / mu1 + dpf_val / mu2) / avg_utility
 
 
 def ndcg_histogram(ndcgs: Sequence[float]) -> tuple[int, ...]:

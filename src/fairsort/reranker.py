@@ -47,6 +47,8 @@ class RunConfig:
     exposure_update: str = "replace"
 
     def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.threshold <= 1.0:
@@ -77,6 +79,15 @@ def _pool_size(n_items: int, ratio: float, k: int | None = None) -> int:
     if k is not None and size < k:
         raise ValueError(f"pool of {size} items cannot fill {k} slots")
     return size
+
+
+def _check_sizes(matrix: PreferenceMatrix, catalog: Catalog) -> None:
+    """Reject a catalog that does not describe exactly the matrix's items."""
+    if catalog.n_items != matrix.n_items:
+        raise ValueError(
+            f"catalog has {catalog.n_items} items but the preference matrix has "
+            f"{matrix.n_items}"
+        )
 
 
 def _serve_depth(n_items: int, config: RunConfig) -> int:
@@ -310,6 +321,7 @@ def fairsort_offline(
         order = list(range(m))
     elif sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all user ids")
+    _check_sizes(matrix, catalog)
 
     depth = _serve_depth(matrix.n_items, config)
     rankings = [original_ranking(matrix, u, depth) for u in range(m)]
@@ -329,7 +341,6 @@ class OnlineState:
     """Mutable state threaded through consecutive online requests."""
 
     ledger: ExposureLedger
-    served: int = 0
     ndcg_log: list[tuple[int, float]] = field(default_factory=list)
 
     @classmethod
@@ -348,14 +359,18 @@ def fairsort_online_step(
 
     The current request's plain top-K contribution is applied before lifts
     are computed and swapped for the served list afterwards; contributions
-    of past requests stay on the ledger permanently.
+    of past requests stay on the ledger permanently.  The config's notion
+    must be the one the state's ledger was created with.
     """
-    if state.served != len(state.ndcg_log):
-        raise ValueError("online state is inconsistent")
+    if config.notion is not state.ledger.notion:
+        raise ValueError(
+            f"config notion {config.notion.value!r} differs from the online state's "
+            f"{state.ledger.notion.value!r}"
+        )
+    _check_sizes(matrix, catalog)
     ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
-    state.ledger.set_budget(total_exposure(state.served + 1, config.k))
+    state.ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
     state.ledger.apply(ranking, config.k)
     served, value = _serve(matrix, catalog, config, state.ledger, ranking)
-    state.served += 1
     state.ndcg_log.append((user, value))
     return served, state

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
-from .exposure import ExposureLedger, FairnessNotion
+from .exposure import ExposureLedger, _provider_sizes
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,16 @@ class LiftAssignment:
 
 
 def err_rates(ledger: ExposureLedger, catalog: Catalog) -> np.ndarray:
-    """Size-normalized exposure deficit per provider.
+    """Exposure deficit per provider, divided by the provider's size.
 
-    Providers with zero quality mass are excluded under quality-weighted
-    fairness (their target is zero, their error rate pinned to 0).  Every
-    provider owns at least one item, so the uniform notion needs no guard.
+    The size is the ledger notion's: item count under uniform fairness,
+    quality mass under quality-weighted fairness.  A provider of zero size,
+    which only a zero quality mass can give, has a zero target and an error
+    rate pinned to 0.
     """
+    sizes = _provider_sizes(catalog, ledger.notion)
     deficit = ledger.target - ledger.exposure
-    if ledger.notion is FairnessNotion.UNIFORM:
-        return deficit / catalog.item_count
-    denom = catalog.quality_mass
-    safe = np.where(denom > 0, denom, 1.0)
-    return np.where(denom > 0, deficit / safe, 0.0)
+    return np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
 
 
 def normalize_lifts(err: np.ndarray) -> LiftAssignment:

@@ -8,9 +8,11 @@ import pytest
 
 from fairsort import FairnessNotion, RunConfig, generate_synthetic
 from fairsort.harness import (
+    _CONFIG_KEYS,
     SUMMARY_COLUMNS,
     ConfigError,
     ExperimentSpec,
+    _build_parser,
     build_spec,
     main,
     make_trace,
@@ -275,6 +277,12 @@ def test_cli_round_trip(tmp_path, capsys):
     rows = read_summary(tmp_path / "cli_out" / "summary.csv")
     assert rows[0]["K"] == "4"
     assert rows[0]["seed"] == "9"
+
+
+def test_cli_flags_are_config_keys():
+    # main passes every parsed flag but the subcommand and the config path as an override
+    args = vars(_build_parser().parse_args(["run", "--config", "c.json"]))
+    assert set(args) - {"command", "config"} <= set(_CONFIG_KEYS)
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

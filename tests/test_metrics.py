@@ -72,11 +72,6 @@ def test_uir_combines_calibrated_terms():
     assert uir(0.02, 0.5, mu1=0.02, mu2=0.5, avg_utility=0.8) == pytest.approx(2.5)
 
 
-def test_uir_weights_scale_terms():
-    value = uir(0.1, 0.2, mu1=0.1, mu2=0.2, avg_utility=1.0, w1=2.0, w2=0.5)
-    assert value == pytest.approx(2.5)
-
-
 def test_uir_rejects_nonpositive_inputs():
     with pytest.raises(ValueError):
         uir(0.1, 0.1, mu1=0.0, mu2=0.1, avg_utility=1.0)

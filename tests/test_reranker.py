@@ -472,7 +472,7 @@ def test_online_first_request_budget_and_conservation():
     matrix, catalog, config = offline_setup(users=6)
     state = OnlineState.fresh(catalog, config.notion)
     rlist, state = fairsort_online_step(state, matrix, catalog, 3, config)
-    assert state.served == 1
+    assert len(state.ndcg_log) == 1
     assert state.ledger.budget == pytest.approx(total_exposure(1, config.k), rel=1e-12)
     assert state.ledger.exposure.sum() == pytest.approx(state.ledger.budget, rel=1e-9)
     assert len(rlist) == config.k
@@ -552,17 +552,37 @@ def test_online_second_request_moves_exposure_off_dominant_provider():
     assert second_share <= first_share + 1e-12
 
 
-def test_online_state_consistency_guard():
-    matrix, catalog, config = offline_setup(users=4)
-    state = OnlineState.fresh(catalog, config.notion)
-    state.served = 3
-    with pytest.raises(ValueError):
+def test_online_step_rejects_a_config_of_another_notion():
+    # the state's ledger fixes the notion, so a config of another one is refused
+    matrix, catalog = generate_synthetic(20, 60, 6, 1.5, seed=3)
+    state = OnlineState.fresh(catalog, UF)
+    config = RunConfig(k=5, notion=FairnessNotion.QUALITY_WEIGHTED, ratio=0.5)
+    with pytest.raises(ValueError, match="'qf' differs from the online state's 'uf'"):
+        fairsort_online_step(state, matrix, catalog, 0, config)
+    assert state.ndcg_log == [] and state.ledger.exposure.sum() == 0.0
+
+
+@pytest.mark.parametrize("catalog_items", [25, 15])
+def test_loops_reject_a_catalog_of_another_size(catalog_items):
+    matrix, _ = generate_synthetic(6, 20, 3, 1.0, seed=4)
+    _, catalog = generate_synthetic(6, catalog_items, 3, 1.0, seed=4)
+    config = RunConfig(k=3, notion=UF, ratio=0.5)
+    message = f"catalog has {catalog_items} items but the preference matrix has 20"
+    with pytest.raises(ValueError, match=message):
+        fairsort_offline(matrix, catalog, config)
+    state = OnlineState.fresh(catalog, UF)
+    with pytest.raises(ValueError, match=message):
         fairsort_online_step(state, matrix, catalog, 0, config)
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(k=0, notion=UF)
+    # k must be an integer and not a bool; numpy integers count
+    for k in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            RunConfig(k=k, notion=UF)
+    assert RunConfig(k=np.int64(3), notion=UF).k == 3
     with pytest.raises(ValueError):
         RunConfig(k=5, notion=UF, threshold=0.0)
     with pytest.raises(ValueError):
