@@ -72,31 +72,33 @@ class Catalog:
     """Item-to-provider assignment plus per-provider aggregates.
 
     ``quality_mass[p]`` is the total preference mass of provider p's items,
-    summed over all users; it is the denominator used by quality-weighted
-    fairness.
+    summed over all users, the denominator of quality-weighted fairness;
+    ``item_count[p]``, derived from ``provider_of``, is uniform fairness's.
     """
 
     provider_of: np.ndarray
-    item_count: np.ndarray
     quality_mass: np.ndarray
+    item_count: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        provider_of = np.asarray(self.provider_of, dtype=np.int64)
-        item_count = np.asarray(self.item_count, dtype=np.int64)
+        provider_of = np.asarray(self.provider_of)
         quality_mass = np.asarray(self.quality_mass, dtype=np.float64)
         if provider_of.ndim != 1 or provider_of.size < 1:
             raise ValueError("provider_of must be a non-empty 1-d array")
-        n_providers = item_count.size
-        if n_providers < 1:
+        # a cast would truncate fractional ids without a word
+        if not np.issubdtype(provider_of.dtype, np.integer):
+            raise ValueError(f"provider ids must be integers, got dtype {provider_of.dtype}")
+        provider_of = provider_of.astype(np.int64)
+        if quality_mass.ndim != 1 or quality_mass.size < 1:
             raise ValueError("catalog needs at least one provider")
-        if provider_of.min() < 0 or provider_of.max() >= n_providers:
+        if provider_of.min() < 0 or provider_of.max() >= quality_mass.size:
             raise ValueError("provider ids out of range")
-        if item_count.sum() != provider_of.size:
-            raise ValueError("item counts do not cover the item universe")
+        item_count = np.bincount(provider_of, minlength=quality_mass.size)
         if np.any(item_count < 1):
             raise ValueError("every provider must own at least one item")
-        if quality_mass.size != n_providers or np.any(quality_mass < 0):
-            raise ValueError("quality_mass must be nonnegative, one per provider")
+        # written so that NaN fails too
+        if not np.all((quality_mass >= 0) & (quality_mass < np.inf)):
+            raise ValueError("quality_mass must be finite and nonnegative")
         object.__setattr__(self, "provider_of", provider_of)
         object.__setattr__(self, "item_count", item_count)
         object.__setattr__(self, "quality_mass", quality_mass)
@@ -107,19 +109,12 @@ class Catalog:
 
     @property
     def n_providers(self) -> int:
-        return self.item_count.size
+        return self.quality_mass.size
 
     @classmethod
     def build(cls, provider_of: np.ndarray, matrix: PreferenceMatrix) -> "Catalog":
-        """Derive per-provider counts and quality mass from an assignment."""
-        provider_of = np.asarray(provider_of, dtype=np.int64)
-        n_providers = int(provider_of.max()) + 1 if provider_of.size else 0
-        item_count = np.bincount(provider_of, minlength=n_providers)
-        per_item_mass = matrix.scores.sum(axis=0)
-        quality_mass = np.bincount(
-            provider_of, weights=per_item_mass, minlength=n_providers
-        )
-        return cls(provider_of, item_count, quality_mass)
+        """Derive per-provider quality mass from an assignment."""
+        return cls(provider_of, np.bincount(provider_of, weights=matrix.scores.sum(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,11 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     if not assignment:
         raise DatasetFormatError(f"{provider_map_path}: provider map is empty")
     n_items = max(assignment) + 1
-    missing = [i for i in range(n_items) if i not in assignment]
-    if missing:
+    if len(assignment) != n_items:
+        # the ids are distinct, so one of the first len + 1 is missing
+        missing = next(i for i in range(len(assignment) + 1) if i not in assignment)
         raise DatasetFormatError(
-            f"{provider_map_path}: item {missing[0]} is missing a provider "
+            f"{provider_map_path}: item {missing} is missing a provider "
             f"(item ids must be 0-based contiguous)"
         )
     provider_of = np.array([assignment[i] for i in range(n_items)], dtype=np.int64)

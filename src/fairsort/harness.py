@@ -116,6 +116,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """``float`` that refuses bools."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _parse_k(value) -> tuple[int, ...]:
     if isinstance(value, str):
         value = [p for p in value.split(",") if p.strip()]
@@ -130,10 +137,10 @@ _CONFIG_KEYS = {
     "scenario": ("scenario", str),
     "k": ("k_values", _parse_k),
     "notion": ("notion", lambda value: FairnessNotion.parse(str(value))),
-    "threshold": ("threshold", float),
-    "lambda_max": ("lambda_max", float),
-    "gap": ("gap", float),
-    "ratio": ("ratio", float),
+    "threshold": ("threshold", _float),
+    "lambda_max": ("lambda_max", _float),
+    "gap": ("gap", _float),
+    "ratio": ("ratio", _float),
     "seed": ("seed", _integer),
     "rounds": ("rounds", _integer),
     "out": ("out_dir", Path),
@@ -141,7 +148,7 @@ _CONFIG_KEYS = {
     "users": ("users", _integer),
     "items": ("items", _integer),
     "providers": ("providers", _integer),
-    "skew": ("skew", float),
+    "skew": ("skew", _float),
     "data_seed": ("data_seed", _integer),
     "matrix": ("matrix_path", Path),
     "provider_map": ("provider_map_path", Path),
@@ -188,7 +195,8 @@ class CellResult:
     per_user_ndcg: dict[int, float]
     timeseries: list[dict] = field(default_factory=list)
 
-    def report(self, catalog: Catalog) -> metrics.MetricsReport:
+    def report(self) -> metrics.MetricsReport:
+        catalog = self.ledger.catalog
         count = len(self.request_ndcgs)
         total = float(sum(self.request_ndcgs))
         return metrics.MetricsReport(
@@ -324,8 +332,8 @@ def run_cell_online(
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -346,32 +354,21 @@ def emit_report(
         writer.writerow(SUMMARY_COLUMNS)
         for k, report, mu1, mu2 in rows:
             calibrated = mu1 > 0 and mu2 > 0 and report.avg_quality > 0
-            uir_val = None
+            uir_val = ""  # an empty field when uncalibrated
             if calibrated:
                 uir_val = metrics.uir(
                     report.dcf, report.dpf(spec.notion), mu1, mu2, report.avg_quality
                 )
-            writer.writerow(
-                [
-                    spec.model,
-                    spec.scenario,
-                    str(k),
-                    spec.notion.value,
-                    _fmt(spec.threshold),
-                    _fmt(spec.lambda_max),
-                    _fmt(spec.gap),
-                    _fmt(spec.ratio),
-                    str(spec.seed),
-                    _fmt(report.dcf),
-                    _fmt(report.dpf_uf),
-                    _fmt(report.dpf_qf),
-                    _fmt(report.total_quality),
-                    _fmt(report.avg_quality),
-                    _fmt(uir_val),
-                    *[str(c) for c in report.histogram],
-                    "auto" if calibrated else "degenerate",
-                ]
+            row = dict(
+                model=spec.model, scenario=spec.scenario, K=k, notion=spec.notion.value,
+                threshold=spec.threshold, lambda_max=spec.lambda_max, gap=spec.gap,
+                ratio=spec.ratio, seed=spec.seed, dcf=report.dcf, dpf_uf=report.dpf_uf,
+                dpf_qf=report.dpf_qf, total_quality=report.total_quality,
+                avg_quality=report.avg_quality, uir=uir_val,
+                uir_mu_source="auto" if calibrated else "degenerate",
             )
+            row.update((f"hist_{i}", count) for i, count in enumerate(report.histogram))
+            writer.writerow([_fmt(row[column]) for column in SUMMARY_COLUMNS])
     return path
 
 
@@ -424,11 +421,11 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         written.append(_write_ledger_file(
             spec.out_dir / f"ledger_{spec.model}_{spec.scenario}_K{k}.tsv", cell.ledger
         ))
-        report = cell.report(catalog)
+        report = cell.report()
         refs = {spec.model: report}
         for model in ("min_exposure", "top_k"):
             if model not in refs:
-                refs[model] = run_cell(spec, model, k, matrix, catalog).report(catalog)
+                refs[model] = run_cell(spec, model, k, matrix, catalog).report()
         rows.append((k, report, refs["min_exposure"].dcf, refs["top_k"].dpf(spec.notion)))
     written.append(emit_report(spec, rows, spec.out_dir / "summary.csv"))
     return written

@@ -273,7 +273,6 @@ def binary_search_lambda_traced(
 
 def _serve(
     matrix: PreferenceMatrix,
-    catalog: Catalog,
     config: RunConfig,
     ledger: ExposureLedger,
     ranking: RankedList,
@@ -289,9 +288,11 @@ def _serve(
     top-K stand-in on the ledger (or is added on top of it in
     ``accumulate`` mode).
     """
-    lifts = normalize_lifts(err_rates(ledger, catalog))
+    lifts = normalize_lifts(err_rates(ledger))
     pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
-    _, served, value = binary_search_lambda(matrix, ranking.user, pool, lifts, config, catalog)
+    _, served, value = binary_search_lambda(
+        matrix, ranking.user, pool, lifts, config, ledger.catalog
+    )
     # a ranking's first k items are its plain top-K list
     if config.exposure_update == "replace":
         ledger.retract(ranking, config.k)
@@ -332,7 +333,7 @@ def fairsort_offline(
     lists: dict[int, RankedList] = {}
     per_user: dict[int, float] = {}
     for u in order:
-        lists[u], per_user[u] = _serve(matrix, catalog, config, ledger, rankings[u])
+        lists[u], per_user[u] = _serve(matrix, config, ledger, rankings[u])
     return lists, ledger, QualityReport(per_user)
 
 
@@ -359,18 +360,23 @@ def fairsort_online_step(
 
     The current request's plain top-K contribution is applied before lifts
     are computed and swapped for the served list afterwards; contributions
-    of past requests stay on the ledger permanently.  The config's notion
-    must be the one the state's ledger was created with.
+    of past requests stay on the ledger permanently.  The catalog object and
+    the config's notion must be the ones the state's ledger was created with.
     """
     if config.notion is not state.ledger.notion:
         raise ValueError(
             f"config notion {config.notion.value!r} differs from the online state's "
             f"{state.ledger.notion.value!r}"
         )
+    if catalog is not (own := state.ledger.catalog):
+        raise ValueError(
+            f"catalog of {catalog.n_items} items and {catalog.n_providers} providers is "
+            f"not the online state's own ({own.n_items} items, {own.n_providers} providers)"
+        )
     _check_sizes(matrix, catalog)
     ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
     state.ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
     state.ledger.apply(ranking, config.k)
-    served, value = _serve(matrix, catalog, config, state.ledger, ranking)
+    served, value = _serve(matrix, config, state.ledger, ranking)
     state.ndcg_log.append((user, value))
     return served, state

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog
 from .exposure import ExposureLedger, _provider_sizes
 
 
@@ -32,15 +31,15 @@ class LiftAssignment:
         object.__setattr__(self, "by_provider", by_provider)
 
 
-def err_rates(ledger: ExposureLedger, catalog: Catalog) -> np.ndarray:
+def err_rates(ledger: ExposureLedger) -> np.ndarray:
     """Exposure deficit per provider, divided by the provider's size.
 
-    The size is the ledger notion's: item count under uniform fairness,
-    quality mass under quality-weighted fairness.  A provider of zero size,
-    which only a zero quality mass can give, has a zero target and an error
-    rate pinned to 0.
+    The size is the ledger notion's, on the ledger's catalog: item count
+    under uniform fairness, quality mass under quality-weighted fairness.  A
+    provider of zero size, which only a zero quality mass can give, has a
+    zero target and an error rate pinned to 0.
     """
-    sizes = _provider_sizes(catalog, ledger.notion)
+    sizes = _provider_sizes(ledger.catalog, ledger.notion)
     deficit = ledger.target - ledger.exposure
     return np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
 

@@ -64,7 +64,7 @@ def make_search_instance(
         ledger = ExposureLedger.create(total_exposure(users, depth), catalog, notion)
         for user in range(users):
             ledger.apply(top_k(matrix, user, depth), depth)
-        lifts = normalize_lifts(err_rates(ledger, catalog))
+        lifts = normalize_lifts(err_rates(ledger))
         if require_varied_lifts and np.unique(lifts.by_provider).size < 2:
             attempt += 1
             continue

@@ -104,7 +104,7 @@ def fairsort_grid(population):
             start = time.perf_counter()
             cell = run_cell_offline(spec, "fairsort", k, matrix, catalog)
             elapsed = time.perf_counter() - start
-            cells[(threshold, k)] = (cell, cell.report(catalog), elapsed)
+            cells[(threshold, k)] = (cell, cell.report(), elapsed)
     return cells
 
 
@@ -116,7 +116,7 @@ def fairsort_qf(population):
     out = {}
     for k in K_VALUES:
         cell = run_cell_offline(spec, "fairsort", k, matrix, catalog)
-        out[k] = (cell, cell.report(catalog))
+        out[k] = (cell, cell.report())
     return out
 
 
@@ -128,7 +128,7 @@ def baseline_offline(population):
     for model in ("top_k", "min_exposure"):
         for k in K_VALUES:
             cell = run_cell_offline(spec, model, k, matrix, catalog)
-            out[(model, k)] = (cell, cell.report(catalog))
+            out[(model, k)] = (cell, cell.report())
     return out
 
 
@@ -139,7 +139,7 @@ def online_cells(population):
     out = {}
     for model in ("fairsort", "top_k", "min_exposure"):
         cell = run_cell_online(spec, model, ONLINE_K, matrix, catalog)
-        out[model] = (cell, cell.report(catalog))
+        out[model] = (cell, cell.report())
     return out
 
 

@@ -84,6 +84,14 @@ def test_load_dataset_item_without_provider(tmp_path):
         load_dataset(matrix_file, provider_file)
 
 
+def test_load_dataset_huge_item_id_reports_the_first_gap(tmp_path):
+    # the scan for the missing id is bounded by the map's size, not the id
+    matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n")
+    provider_file = write(tmp_path / "p.tsv", f"0\t0\n{10**12}\t0\n")
+    with pytest.raises(DatasetFormatError, match="item 1 is missing a provider"):
+        load_dataset(matrix_file, provider_file)
+
+
 def test_load_dataset_duplicate_provider_assignment(tmp_path):
     matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n")
     provider_file = write(tmp_path / "p.tsv", "0\t0\n0\t1\n")
@@ -344,10 +352,26 @@ def test_generate_synthetic_validates_arguments():
 
 
 def test_catalog_requires_every_provider_nonempty():
-    matrix = PreferenceMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        Catalog(
-            provider_of=np.array([0, 0, 0]),
-            item_count=np.array([3, 0]),
-            quality_mass=np.array([6.0, 0.0]),
-        )
+    with pytest.raises(ValueError, match="at least one item"):
+        Catalog(provider_of=np.array([0, 0, 0]), quality_mass=np.array([6.0, 0.0]))
+
+
+def test_catalog_derives_item_counts_from_the_map():
+    catalog = Catalog(provider_of=np.array([0, 0, 1]), quality_mass=np.array([1.0, 2.0]))
+    assert catalog.item_count.tolist() == [2, 1]
+    assert catalog.n_providers == 2
+    with pytest.raises(TypeError):
+        Catalog(np.array([0, 0, 1]), np.array([1.0, 2.0]), item_count=np.array([1, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_catalog_rejects_non_finite_mass(bad):
+    # NaN mass used to give NaN quality-weighted targets without an error
+    with pytest.raises(ValueError, match="finite"):
+        Catalog(provider_of=np.array([0, 1]), quality_mass=np.array([bad, 1.0]))
+
+
+def test_catalog_rejects_non_integral_provider_ids():
+    # these used to be truncated to [0, 1]
+    with pytest.raises(ValueError, match="integers"):
+        Catalog(provider_of=np.array([0.7, 1.2]), quality_mass=np.array([1.0, 1.0]))

@@ -88,6 +88,16 @@ def test_build_spec_rejects_non_integral_integers(key, value):
         build_spec({"dataset": "synthetic", key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("threshold", True), ("lambda_max", True), ("gap", True), ("ratio", True),
+     ("skew", False)],
+)
+def test_build_spec_rejects_bools_for_float_keys(key, value):
+    with pytest.raises(ConfigError, match=repr(key)):
+        build_spec({"dataset": "synthetic", key: value})
+
+
 def test_make_trace_covers_every_user_each_round():
     trace = make_trace(7, 3, seed=1)
     assert len(trace) == 21
@@ -225,7 +235,7 @@ def test_offline_cells_replay_cleanly(tmp_path):
             k=4,
             lists=cell.lists,
             ledger_exposure=cell.ledger.exposure,
-            histogram=cell.report(catalog).histogram,
+            histogram=cell.report().histogram,
             threshold=spec.threshold if model == "fairsort" else None,
         )
         config = RunConfig(k=4, notion=spec.notion, threshold=spec.threshold)
@@ -247,7 +257,7 @@ def test_online_cells_replay_cleanly(tmp_path):
             k=4,
             lists=cell.lists,
             ledger_exposure=cell.ledger.exposure,
-            histogram=cell.report(catalog).histogram,
+            histogram=cell.report().histogram,
             threshold=spec.threshold if model == "fairsort" else None,
         )
         config = RunConfig(k=4, notion=spec.notion, threshold=spec.threshold)

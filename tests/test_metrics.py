@@ -22,7 +22,6 @@ QF = FairnessNotion.QUALITY_WEIGHTED
 def ledger_with(exposure, item_count, masses):
     catalog = Catalog(
         provider_of=np.repeat(np.arange(len(item_count)), item_count),
-        item_count=np.asarray(item_count),
         quality_mass=np.asarray(masses, dtype=float),
     )
     ledger = ExposureLedger.create(0.0, catalog, UF)

@@ -562,6 +562,23 @@ def test_online_step_rejects_a_config_of_another_notion():
     assert state.ndcg_log == [] and state.ledger.exposure.sum() == 0.0
 
 
+@pytest.mark.parametrize("providers, skew", [(6, 0.0), (3, 1.5)])
+def test_online_step_rejects_a_catalog_not_the_states(providers, skew):
+    # the ledger credits its own catalog, so serving with another one, even
+    # of the same size, would split lifts and credit on different maps
+    matrix, catalog = generate_synthetic(20, 60, 6, 1.5, seed=3)
+    _, foreign = generate_synthetic(20, 60, providers, skew, seed=3)
+    state = OnlineState.fresh(catalog, UF)
+    config = RunConfig(k=5, notion=UF, ratio=0.5)
+    message = (
+        f"catalog of 60 items and {providers} providers is not the online state's "
+        r"own \(60 items, 6 providers\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        fairsort_online_step(state, matrix, foreign, 0, config)
+    assert state.ndcg_log == [] and state.ledger.exposure.sum() == 0.0
+
+
 @pytest.mark.parametrize("catalog_items", [25, 15])
 def test_loops_reject_a_catalog_of_another_size(catalog_items):
     matrix, _ = generate_synthetic(6, 20, 3, 1.0, seed=4)
