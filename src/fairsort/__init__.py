@@ -21,7 +21,6 @@ from .exposure import (
     ExposureLedger,
     FairnessNotion,
     LedgerError,
-    fair_targets,
     list_contribution,
     total_exposure,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "dcg",
     "dpf",
     "err_rates",
-    "fair_targets",
     "fairsort_offline",
     "fairsort_online_step",
     "generate_synthetic",

@@ -9,6 +9,7 @@ fair target implied by the active fairness notion.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,27 +59,6 @@ def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
     return catalog.quality_mass
 
 
-def _fair_shares(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
-    """Each provider's fraction of any budget under the given notion."""
-    sizes = _provider_sizes(catalog, notion)
-    total = sizes.sum()
-    # every provider owns an item, so only quality mass can total zero
-    if total <= 0:
-        raise ValueError("quality-weighted targets need positive total quality mass")
-    return sizes / total
-
-
-def fair_targets(budget: float, catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
-    """Split an exposure budget across providers under the given notion.
-
-    Uniform fairness shares by item count; quality-weighted fairness shares
-    by quality mass, with zero-mass providers receiving a zero target.
-    """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return budget * _fair_shares(catalog, notion)
-
-
 def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray:
     """Per-provider exposure contributed by the first ``k`` slots of a list."""
     if len(rlist) < k:
@@ -90,43 +70,58 @@ def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray
     )
 
 
+def _checked_budget(budget: float) -> float:
+    # written so that NaN fails the range test too
+    if not 0.0 <= budget < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget!r}")
+    return float(budget)
+
+
 @dataclass
 class ExposureLedger:
-    """Running exposure totals per provider, with fair targets.
+    """Running exposure per provider against fair targets.
 
+    A provider's fair target is the budget times its share of the catalog:
+    its item count under uniform fairness, its quality mass under
+    quality-weighted fairness, so a zero-mass provider's target is zero.
     A ledger has a single writer; apply/retract mutate it in place.
     """
 
-    exposure: np.ndarray
-    target: np.ndarray
     budget: float
-    notion: FairnessNotion
     catalog: Catalog
-    # fair_targets(budget) == budget * shares; kept so a new budget skips the split
-    shares: np.ndarray = field(repr=False)
+    notion: FairnessNotion
+    exposure: np.ndarray = field(init=False)
+    shares: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def create(cls, budget: float, catalog: Catalog, notion: FairnessNotion) -> "ExposureLedger":
-        shares = _fair_shares(catalog, notion)
-        target = fair_targets(budget, catalog, notion)
-        total = target.sum()
-        if abs(total - budget) > 1e-9 * max(1.0, abs(budget)):
-            raise LedgerError(f"fair targets sum to {total}, expected {budget}")
-        return cls(
-            exposure=np.zeros(catalog.n_providers, dtype=np.float64),
-            target=target,
-            budget=float(budget),
-            notion=notion,
-            catalog=catalog,
-            shares=shares,
-        )
+    def __post_init__(self) -> None:
+        self.budget = _checked_budget(self.budget)
+        sizes = _provider_sizes(self.catalog, self.notion)
+        total = sizes.sum()
+        # every provider owns an item, so only quality mass can total zero
+        if total <= 0:
+            raise ValueError("quality-weighted targets need positive total quality mass")
+        self.shares = sizes / total
+        self.exposure = np.zeros(self.catalog.n_providers, dtype=np.float64)
+        summed = self.target.sum()
+        if abs(summed - self.budget) > 1e-9 * max(1.0, self.budget):
+            raise LedgerError(f"fair targets sum to {summed}, expected {self.budget}")
+
+    @property
+    def target(self) -> np.ndarray:
+        """Each provider's fair exposure under the current budget."""
+        return self.budget * self.shares
 
     def set_budget(self, budget: float) -> None:
         """Rescale fair targets to a new exposure budget."""
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
-        self.target = budget * self.shares
-        self.budget = float(budget)
+        self.budget = _checked_budget(budget)
+
+    def check_catalog(self, catalog: Catalog, owner: str = "ledger's") -> None:
+        """Raise ``ValueError`` naming both sizes unless ``catalog`` is the ledger's."""
+        if catalog is not (own := self.catalog):
+            raise ValueError(
+                f"catalog of {catalog.n_items} items and {catalog.n_providers} providers is "
+                f"not the {owner} own ({own.n_items} items, {own.n_providers} providers)"
+            )
 
     def apply(self, rlist: RankedList, k: int) -> "ExposureLedger":
         """Credit the exposure of one list to its providers."""
@@ -147,8 +142,9 @@ class ExposureLedger:
 
     def snapshot_lines(self) -> list[str]:
         """Serialize as ``provider_id<TAB>e<TAB>e_fair`` lines."""
+        target = self.target
         return [
-            f"{p}\t{float(self.exposure[p])!r}\t{float(self.target[p])!r}"
+            f"{p}\t{float(self.exposure[p])!r}\t{float(target[p])!r}"
             for p in range(self.catalog.n_providers)
         ]
 

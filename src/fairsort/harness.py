@@ -244,7 +244,7 @@ def run_cell_offline(
         values = [quality_report.per_user[u] for u in range(m)]
     else:
         policy = _baseline_policy(model, k, matrix)
-        ledger = ExposureLedger.create(total_exposure(m, k), catalog, spec.notion)
+        ledger = ExposureLedger(total_exposure(m, k), catalog, spec.notion)
         served, values = [], []
         for user in range(m):
             rlist = policy(user, (spec.seed, user))

@@ -32,8 +32,10 @@ def dpf(ledger: ExposureLedger, catalog: Catalog, notion: FairnessNotion) -> flo
     """Population variance of per-provider exposure, size-normalized.
 
     Uniform fairness normalizes by item count; quality-weighted fairness by
-    quality mass, skipping providers whose mass is zero.
+    quality mass, skipping providers whose mass is zero.  ``catalog`` must
+    be the ledger's own object.
     """
+    ledger.check_catalog(catalog)
     sizes = _provider_sizes(catalog, notion)
     valid = sizes > 0
     if not valid.any():
@@ -63,7 +65,8 @@ def ndcg_histogram(ndcgs: Sequence[float]) -> tuple[int, ...]:
     the bin it opens and the last bin is closed at 1.
     """
     values = np.asarray(ndcgs, dtype=np.float64)
-    if values.size and (values.min() < 0 or values.max() > 1):
+    # written so that NaN fails the range test too
+    if not np.all((values >= 0) & (values <= 1)):
         raise ValueError("ndcg values must lie in [0, 1]")
     slots = np.digitize(values, _BIN_EDGES[1:-1])
     counts = np.bincount(slots, minlength=9)

@@ -326,7 +326,7 @@ def fairsort_offline(
 
     depth = _serve_depth(matrix.n_items, config)
     rankings = [original_ranking(matrix, u, depth) for u in range(m)]
-    ledger = ExposureLedger.create(total_exposure(m, config.k), catalog, config.notion)
+    ledger = ExposureLedger(total_exposure(m, config.k), catalog, config.notion)
     for ranking in rankings:
         ledger.apply(ranking, config.k)
 
@@ -346,7 +346,7 @@ class OnlineState:
 
     @classmethod
     def fresh(cls, catalog: Catalog, notion: FairnessNotion) -> "OnlineState":
-        return cls(ledger=ExposureLedger.create(0.0, catalog, notion))
+        return cls(ledger=ExposureLedger(0.0, catalog, notion))
 
 
 def fairsort_online_step(
@@ -368,11 +368,7 @@ def fairsort_online_step(
             f"config notion {config.notion.value!r} differs from the online state's "
             f"{state.ledger.notion.value!r}"
         )
-    if catalog is not (own := state.ledger.catalog):
-        raise ValueError(
-            f"catalog of {catalog.n_items} items and {catalog.n_providers} providers is "
-            f"not the online state's own ({own.n_items} items, {own.n_providers} providers)"
-        )
+    state.ledger.check_catalog(catalog, "online state's")
     _check_sizes(matrix, catalog)
     ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
     state.ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))

@@ -61,7 +61,7 @@ def make_search_instance(
             users, n, n_providers, skew, seed=int(rng.integers(2**31))
         )
         notion = FairnessNotion.UNIFORM if rng.integers(2) == 0 else FairnessNotion.QUALITY_WEIGHTED
-        ledger = ExposureLedger.create(total_exposure(users, depth), catalog, notion)
+        ledger = ExposureLedger(total_exposure(users, depth), catalog, notion)
         for user in range(users):
             ledger.apply(top_k(matrix, user, depth), depth)
         lifts = normalize_lifts(err_rates(ledger))

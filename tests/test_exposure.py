@@ -14,7 +14,6 @@ from fairsort import (
     LedgerError,
     PreferenceMatrix,
     RankedList,
-    fair_targets,
     list_contribution,
     total_exposure,
 )
@@ -45,31 +44,31 @@ def test_total_exposure_additive_in_list_count(a, b, k):
     assert combined == pytest.approx(total_exposure(a, k) + total_exposure(b, k), rel=1e-9)
 
 
-def test_fair_targets_uniform_shares_by_item_count():
+def test_target_uniform_shares_by_item_count():
     matrix = PreferenceMatrix(np.array([[1.0, 1.0, 1.0, 1.0]]))
     catalog = Catalog.build(np.array([0, 1, 1, 1]), matrix)
-    targets = fair_targets(4.0, catalog, UF)
+    targets = ExposureLedger(4.0, catalog, UF).target
     assert targets.tolist() == pytest.approx([1.0, 3.0], abs=1e-12)
 
 
-def test_fair_targets_quality_weighted_shares_by_mass():
+def test_target_quality_weighted_shares_by_mass():
     matrix = PreferenceMatrix(np.array([[2.0, 1.0]]))
     catalog = Catalog.build(np.array([0, 1]), matrix)
-    targets = fair_targets(6.0, catalog, QF)
+    targets = ExposureLedger(6.0, catalog, QF).target
     assert targets.tolist() == pytest.approx([4.0, 2.0], abs=1e-12)
 
 
-def test_fair_targets_zero_mass_provider_gets_zero():
+def test_target_zero_mass_provider_gets_zero():
     matrix = PreferenceMatrix(np.array([[2.0, 0.0]]))
     catalog = Catalog.build(np.array([0, 1]), matrix)
-    targets = fair_targets(5.0, catalog, QF)
+    targets = ExposureLedger(5.0, catalog, QF).target
     assert targets[1] == 0.0
     assert targets.sum() == pytest.approx(5.0, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([UF, QF]))
-def test_fair_targets_sum_to_budget(seed, notion):
+def test_target_sums_to_budget(seed, notion):
     rng = np.random.default_rng(seed)
     n_providers = int(rng.integers(1, 9))
     n_items = int(rng.integers(n_providers, 30))
@@ -79,7 +78,7 @@ def test_fair_targets_sum_to_budget(seed, notion):
     matrix = PreferenceMatrix(rng.random((3, n_items)))
     catalog = Catalog.build(provider_of, matrix)
     budget = float(rng.random() * 100)
-    assert fair_targets(budget, catalog, notion).sum() == pytest.approx(budget, rel=1e-9, abs=1e-9)
+    assert ExposureLedger(budget, catalog, notion).target.sum() == pytest.approx(budget, rel=1e-9, abs=1e-9)
 
 
 def test_list_contribution_same_provider_accumulates():
@@ -111,7 +110,7 @@ def test_list_contribution_rejects_short_list():
 
 def test_ledger_apply_then_retract_restores():
     _, catalog = small_catalog()
-    ledger = ExposureLedger.create(10.0, catalog, UF)
+    ledger = ExposureLedger(10.0, catalog, UF)
     ledger.apply(RankedList(0, (0, 2)), 2)
     before = ledger.exposure.copy()
     extra = RankedList(0, (1, 3))
@@ -122,7 +121,7 @@ def test_ledger_apply_then_retract_restores():
 
 def test_ledger_retract_unapplied_list_raises():
     _, catalog = small_catalog()
-    ledger = ExposureLedger.create(10.0, catalog, UF)
+    ledger = ExposureLedger(10.0, catalog, UF)
     with pytest.raises(LedgerError):
         ledger.retract(RankedList(0, (0, 2)), 2)
 
@@ -130,21 +129,47 @@ def test_ledger_retract_unapplied_list_raises():
 def test_ledger_targets_sum_to_budget_both_notions():
     _, catalog = small_catalog()
     for notion in (UF, QF):
-        ledger = ExposureLedger.create(12.5, catalog, notion)
+        ledger = ExposureLedger(12.5, catalog, notion)
         assert ledger.target.sum() == pytest.approx(12.5, rel=1e-9)
 
 
 def test_ledger_set_budget_rescales_targets():
     _, catalog = small_catalog()
-    ledger = ExposureLedger.create(4.0, catalog, UF)
+    ledger = ExposureLedger(4.0, catalog, UF)
     ledger.set_budget(8.0)
     assert ledger.budget == 8.0
     assert ledger.target.sum() == pytest.approx(8.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_ledger_rejects_a_budget_not_finite_and_non_negative(bad):
+    _, catalog = small_catalog()
+    with pytest.raises(ValueError, match="budget must be finite"):
+        ExposureLedger(bad, catalog, UF)
+    ledger = ExposureLedger(4.0, catalog, UF)
+    ledger.apply(RankedList(0, (0, 2)), 2)
+    exposure, target = ledger.exposure.copy(), ledger.target
+    with pytest.raises(ValueError, match="budget must be finite"):
+        ledger.set_budget(bad)
+    assert ledger.budget == 4.0
+    assert np.array_equal(ledger.exposure, exposure)
+    assert np.array_equal(ledger.target, target)
+
+
+def test_ledger_target_is_derived_and_read_only():
+    _, catalog = small_catalog()
+    ledger = ExposureLedger(budget=4.0, catalog=catalog, notion=QF)
+    assert ledger.exposure.tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(ledger.target, 4.0 * ledger.shares)
+    with pytest.raises(AttributeError):
+        setattr(ledger, "target", np.zeros(catalog.n_providers))
+    with pytest.raises(TypeError):
+        ExposureLedger(4.0, catalog, UF, np.zeros(catalog.n_providers))
+
+
 def test_ledger_snapshot_format():
     _, catalog = small_catalog()
-    ledger = ExposureLedger.create(4.0, catalog, UF)
+    ledger = ExposureLedger(4.0, catalog, UF)
     ledger.apply(RankedList(0, (0, 2)), 2)
     lines = ledger.snapshot_lines()
     assert len(lines) == catalog.n_providers

@@ -9,8 +9,11 @@ from fairsort import (
     Catalog,
     ExposureLedger,
     FairnessNotion,
+    RunConfig,
     dcf,
     dpf,
+    fairsort_offline,
+    generate_synthetic,
     ndcg_histogram,
     uir,
 )
@@ -24,7 +27,7 @@ def ledger_with(exposure, item_count, masses):
         provider_of=np.repeat(np.arange(len(item_count)), item_count),
         quality_mass=np.asarray(masses, dtype=float),
     )
-    ledger = ExposureLedger.create(0.0, catalog, UF)
+    ledger = ExposureLedger(0.0, catalog, UF)
     ledger.exposure = np.asarray(exposure, dtype=float)
     return ledger, catalog
 
@@ -65,6 +68,21 @@ def test_dpf_no_valid_provider_rejected():
         dpf(ledger, catalog, QF)
 
 
+def test_dpf_rejects_a_catalog_not_the_ledgers():
+    # same size, other quality masses: before the check this read 0.983
+    # where the ledger's own catalog gives 0.0151
+    matrix, catalog = generate_synthetic(20, 60, 6, 1.5, seed=3)
+    _, foreign = generate_synthetic(20, 60, 6, 0.0, seed=3)
+    _, ledger, _ = fairsort_offline(matrix, catalog, RunConfig(k=5, notion=UF, ratio=0.5))
+    assert dpf(ledger, catalog, UF) == pytest.approx(0.0151, abs=5e-5)
+    message = (
+        r"catalog of 60 items and 6 providers is not the ledger's own "
+        r"\(60 items, 6 providers\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        dpf(ledger, foreign, UF)
+
+
 def test_uir_combines_calibrated_terms():
     assert uir(0.02, 0.5, mu1=0.02, mu2=0.5, avg_utility=1.0) == pytest.approx(2.0)
     assert uir(0.0, 0.5, mu1=0.04, mu2=0.5, avg_utility=1.0) == pytest.approx(1.0)
@@ -97,6 +115,8 @@ def test_histogram_rejects_out_of_range():
         ndcg_histogram([1.2])
     with pytest.raises(ValueError):
         ndcg_histogram([-0.1])
+    with pytest.raises(ValueError):
+        ndcg_histogram([0.5, float("nan")])
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from fairsort import (
+    ExposureLedger,
     FairnessNotion,
     OnlineState,
     RunConfig,
@@ -38,25 +39,28 @@ def test_benchmark_hooks_resolve_to_callables():
 
 
 def test_serve_paths_call_the_hooked_names(monkeypatch):
-    # the timers replace these module attributes, so the serve paths must
-    # look them up on every call, once per served list
+    # the timers replace these module and class attributes, so the serve
+    # paths must look them up on every call
     names = (
         "original_ranking", "candidate_pool", "err_rates", "normalize_lifts",
         "binary_search_lambda",
     )
+    ledger_names = ("apply", "retract", "set_budget")
     calls = Counter()
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(reranker, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    for owner, owned in ((reranker, names), (ExposureLedger, ledger_names)):
+        for name in owned:
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(reranker, name, counted)
+            monkeypatch.setattr(owner, name, counted)
     matrix, catalog = generate_synthetic(6, 20, 3, 1.0, seed=0)
     config = RunConfig(k=3, notion=FairnessNotion.UNIFORM, ratio=0.5)
     fairsort_offline(matrix, catalog, config)
-    assert calls == dict.fromkeys(names, 6)
+    # each user's stand-in and served list are applied, the stand-in retracted
+    assert calls == dict.fromkeys(names, 6) | {"apply": 12, "retract": 6}
     calls.clear()
     state = OnlineState.fresh(catalog, config.notion)
     for user in (2, 4):
         _, state = fairsort_online_step(state, matrix, catalog, user, config)
-    assert calls == dict.fromkeys(names, 2)
+    assert calls == dict.fromkeys(names, 2) | {"apply": 4, "retract": 2, "set_budget": 2}

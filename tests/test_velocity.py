@@ -26,8 +26,8 @@ def catalog_with_masses(item_count, masses):
 
 def test_err_rates_uniform_normalizes_by_item_count():
     catalog = catalog_with_masses([2, 1], [1.0, 1.0])
-    ledger = ExposureLedger.create(0.0, catalog, UF)
-    ledger.target = np.array([2.0, 1.0])
+    # targets 3.0 * [2/3, 1/3] = [2.0, 1.0]
+    ledger = ExposureLedger(3.0, catalog, UF)
     ledger.exposure = np.array([3.0, 0.5])
     rates = err_rates(ledger)
     assert rates[0] == pytest.approx(-0.5, abs=1e-12)
@@ -36,9 +36,9 @@ def test_err_rates_uniform_normalizes_by_item_count():
 
 def test_err_rates_quality_weighted_normalizes_by_mass():
     catalog = catalog_with_masses([1, 1], [0.5, 2.0])
-    ledger = ExposureLedger.create(0.0, catalog, QF)
-    ledger.target = np.array([2.0, 1.0])
-    ledger.exposure = np.array([3.0, 1.0])
+    # targets 5.0 * [0.2, 0.8] = [1.0, 4.0]
+    ledger = ExposureLedger(5.0, catalog, QF)
+    ledger.exposure = np.array([2.0, 4.0])
     rates = err_rates(ledger)
     assert rates[0] == pytest.approx(-2.0, abs=1e-12)
     assert rates[1] == 0.0
@@ -46,7 +46,7 @@ def test_err_rates_quality_weighted_normalizes_by_mass():
 
 def test_err_rates_zero_mass_provider_is_pinned_to_zero():
     catalog = catalog_with_masses([1, 1], [1.0, 0.0])
-    ledger = ExposureLedger.create(3.0, catalog, QF)
+    ledger = ExposureLedger(3.0, catalog, QF)
     ledger.exposure = np.array([0.0, 5.0])
     rates = err_rates(ledger)
     assert rates[1] == 0.0
@@ -100,7 +100,7 @@ def test_normalize_lifts_sign_groups_sum_to_unit(errors):
 def test_balanced_ledger_produces_zero_lifts():
     matrix = PreferenceMatrix(np.ones((2, 4)))
     catalog = Catalog.build(np.array([0, 0, 1, 1]), matrix)
-    ledger = ExposureLedger.create(4.0, catalog, UF)
+    ledger = ExposureLedger(4.0, catalog, UF)
     ledger.exposure = ledger.target.copy()
     lifts = normalize_lifts(err_rates(ledger))
     assert np.all(lifts.by_provider == 0.0)
