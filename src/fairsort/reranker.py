@@ -214,10 +214,20 @@ def binary_search_lambda_traced(
     the largest probed weight that passed.  Each probe selects its top k only
     among the items keyed at or below the previous probe's list (the first,
     the head's), which gives the lists :func:`rerank_with_lambda` gives.
-    When every probe passes, lambda_max itself is probed last and returned
-    if it clears the floor.  At most
-    ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent: one per
-    halving plus, in the all-pass case, one on lambda_max.
+
+    Probe order: lambda_max / 2 first; if it passes, lambda_max itself,
+    returned with its list if it clears the floor; otherwise the halvings go
+    on as plain bisection's, without probing lambda_max again.  This returns
+    plain bisection's weight, list and NDCG, because NDCG is non-increasing
+    in the weight.  With w_r the slot weights, the top k sorted by
+    s + lam * l maximizes sum_r w_r * (s_r + lam * l_r) over ordered
+    k-lists, so comparing the optimal lists at lam1 < lam2 gives
+    sum w * l(lam1) <= sum w * l(lam2), and hence DCG(lam1) >= DCG(lam2).
+    So if lambda_max clears the floor, every weight below it does:
+    plain bisection would pass every probe and return lambda_max last, with
+    this same list, since a probe's selection does not depend on its seed.
+    At most ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent:
+    one per halving plus one on lambda_max.
     """
     k = config.k
     head_at, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
@@ -260,14 +270,16 @@ def binary_search_lambda_traced(
         if mid_value >= config.threshold:
             lo = mid
             best_lam, best_at, best_value = mid, seed, mid_value
+            if evaluations == 1:
+                # the floor may hold all the way up; if not, the halvings
+                # go on below lambda_max, whose result is now known
+                evaluations += 1
+                top_at, value = evaluate(config.lambda_max, seed)
+                if value >= config.threshold:
+                    best_lam, best_at, best_value = config.lambda_max, top_at, value
+                    break
         else:
             hi = mid
-    if hi == config.lambda_max:
-        # no probe ever failed; the floor may hold all the way up
-        evaluations += 1
-        top_at, value = evaluate(config.lambda_max, seed)
-        if value >= config.threshold:
-            best_lam, best_at, best_value = config.lambda_max, top_at, value
     return best_lam, RankedList(user, tuple(ids[best_at].tolist())), best_value, evaluations
 
 
@@ -287,12 +299,28 @@ def _serve(
     that clears the floor picks the list, and the list replaces the plain
     top-K stand-in on the ledger (or is added on top of it in
     ``accumulate`` mode).
+
+    A pool whose items all belong to one provider gives every item the same
+    lift, which no weight can turn into a reordering.  It is served as the
+    user's own top k at NDCG 1, as the search would serve it, without
+    computing lifts or searching.  A ranked prefix holds one provider when
+    its items' providers are all equal; the whole catalog, when the catalog
+    has one provider, since every provider owns an item.
     """
-    lifts = normalize_lifts(err_rates(ledger))
+    catalog = ledger.catalog
     pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
-    _, served, value = binary_search_lambda(
-        matrix, ranking.user, pool, lifts, config, ledger.catalog
-    )
+    if isinstance(pool, _CatalogPool):
+        one_provider = catalog.n_providers == 1
+    else:
+        providers = catalog.provider_of[np.asarray(pool.items, dtype=np.int64)]
+        one_provider = (providers == providers[0]).all()
+    if one_provider:
+        served, value = RankedList(ranking.user, ranking.items[: config.k]), 1.0
+    else:
+        lifts = normalize_lifts(err_rates(ledger))
+        _, served, value = binary_search_lambda(
+            matrix, ranking.user, pool, lifts, config, catalog
+        )
     # a ranking's first k items are its plain top-K list
     if config.exposure_update == "replace":
         ledger.retract(ranking, config.k)

@@ -10,10 +10,14 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from fairsort import (
+    Catalog,
     ExposureLedger,
     FairnessNotion,
     OnlineState,
+    PreferenceMatrix,
     RunConfig,
     fairsort_offline,
     fairsort_online_step,
@@ -64,3 +68,11 @@ def test_serve_paths_call_the_hooked_names(monkeypatch):
     for user in (2, 4):
         _, state = fairsort_online_step(state, matrix, catalog, user, config)
     assert calls == dict.fromkeys(names, 2) | {"apply": 4, "retract": 2, "set_budget": 2}
+    # a pool of one provider is served without lifts or a search
+    calls.clear()
+    matrix = PreferenceMatrix(np.array([[0.9, 0.8, 0.7, 0.3, 0.2, 0.1]]))
+    catalog = Catalog.build(np.array([0, 0, 0, 1, 1, 1]), matrix)
+    state = OnlineState.fresh(catalog, config.notion)
+    fairsort_online_step(state, matrix, catalog, 0, config)
+    assert calls == {"original_ranking": 1, "candidate_pool": 1, "apply": 2, "retract": 1,
+                     "set_budget": 1}

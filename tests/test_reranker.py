@@ -19,12 +19,15 @@ from fairsort import (
     RunConfig,
     binary_search_lambda,
     candidate_pool,
+    err_rates,
     fairsort_offline,
     fairsort_online_step,
     generate_synthetic,
     ndcg,
+    normalize_lifts,
     original_ranking,
     rerank_with_lambda,
+    reranker,
     top_k,
     total_exposure,
 )
@@ -246,6 +249,18 @@ def reference_search(matrix, user, pool, lifts, config, catalog):
     return (*best, evaluations)
 
 
+def probe_bound(config):
+    return math.ceil(math.log2(config.lambda_max / config.gap)) + 1
+
+
+def assert_matches_reference(served, matrix, pool, lifts, config, catalog):
+    # the search may probe in another order than plain bisection, but must
+    # pick the same weight, list and NDCG within the probe bound
+    *picked, evaluations = served
+    assert picked == list(reference_search(matrix, 0, pool, lifts, config, catalog)[:3])
+    assert evaluations <= probe_bound(config)
+
+
 @settings(max_examples=300, deadline=None)
 @given(whole_catalog_cases())
 def test_whole_catalog_serve_matches_search_on_full_ranking(case):
@@ -264,7 +279,7 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     full = candidate_pool(original_ranking(matrix, 0), 1.0)
     served = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
     assert served == binary_search_lambda_traced(matrix, 0, full, lifts, config, catalog)
-    assert served == reference_search(matrix, 0, pool, lifts, config, catalog)
+    assert_matches_reference(served, matrix, pool, lifts, config, catalog)
     lam = served[0] or config.lambda_max
     assert (rerank_with_lambda(matrix, 0, pool, lifts, lam, k, catalog)
             == rerank_with_lambda(matrix, 0, full, lifts, lam, k, catalog))
@@ -275,8 +290,10 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
         ranking = original_ranking(matrix, 0, _serve_depth(n, half))
         prefix = candidate_pool(ranking, half.ratio, k, n_items=n)
         assert isinstance(prefix, RankedList) and len(prefix) == size
-        assert (binary_search_lambda_traced(matrix, 0, prefix, lifts, half, catalog)
-                == reference_search(matrix, 0, prefix, lifts, half, catalog))
+        assert_matches_reference(
+            binary_search_lambda_traced(matrix, 0, prefix, lifts, half, catalog),
+            matrix, prefix, lifts, half, catalog,
+        )
 
 
 @st.composite
@@ -338,9 +355,28 @@ def test_binary_search_returns_lambda_max_when_floor_never_breaks():
         matrix, 0, pool, lifts, config, catalog
     )
     assert lam == config.lambda_max
-    assert evals == math.ceil(math.log2(config.lambda_max / config.gap)) + 1
+    # lambda_max / 2 passes, so lambda_max is probed next, and it passes too
+    assert evals == 2
     assert rlist.items == (1,)
     assert value == 1.0
+
+
+@pytest.mark.parametrize("depth", [1, None])
+def test_binary_search_bisects_below_a_failing_lambda_max(depth):
+    # item 3 overtakes item 0 only beyond weight (1.0 - 0.15) / 0.1 = 8.5: the
+    # first probe, 8, passes and lambda_max fails
+    matrix = PreferenceMatrix(np.array([[1.0, 0.9, 0.8, 0.15]]))
+    catalog = Catalog.build(np.array([0, 0, 0, 1]), matrix)
+    lifts = LiftAssignment(by_provider=np.array([0.0, 0.1]))
+    config = RunConfig(k=1, notion=UF, threshold=0.9)
+    # the whole catalog led by the top 1, and the fully ranked pool
+    pool = candidate_pool(original_ranking(matrix, 0, depth), 1.0, 1, n_items=4)
+    served = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
+    lam, rlist, value, evals = served
+    assert config.lambda_max / 2 < lam <= 8.5
+    assert rlist.items == (0,) and value == 1.0
+    assert evals == probe_bound(config)
+    assert_matches_reference(served, matrix, pool, lifts, config, catalog)
 
 
 @pytest.mark.parametrize("lambda_max", [1.0, 16.0, 3.0, 0.7])
@@ -357,7 +393,7 @@ def test_binary_search_ends_at_smallest_accepted_gap(lambda_max, threshold):
     pool = candidate_pool(original_ranking(matrix, 0), 1.0)
     _, _, value, evals = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
     assert value >= threshold
-    assert 0 < evals <= math.ceil(math.log2(lambda_max / gap)) + 1
+    assert 0 < evals <= probe_bound(config)
 
 
 def test_binary_search_meets_floor_and_grid_reference():
@@ -372,8 +408,7 @@ def test_binary_search_meets_floor_and_grid_reference():
         assert value == pytest.approx(
             ndcg(inst.matrix, inst.user, rlist, inst.config.k), abs=1e-12
         )
-        budget = math.ceil(math.log2(inst.config.lambda_max / inst.config.gap)) + 1
-        assert evals <= budget
+        assert evals <= probe_bound(inst.config)
 
         profile = grid_lambda_profile(
             inst.matrix,
@@ -451,6 +486,70 @@ def test_offline_single_provider_reproduces_top_k():
     lists, _, _ = fairsort_offline(matrix, catalog, config)
     for user in range(8):
         assert lists[user].items == top_k(matrix, user, config.k).items
+
+
+def serve_by_search(matrix, config, ledger, ranking):
+    # the serve step with lifts computed and the search called for every pool
+    lifts = normalize_lifts(err_rates(ledger))
+    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+    _, served, value = binary_search_lambda(
+        matrix, ranking.user, pool, lifts, config, ledger.catalog
+    )
+    if config.exposure_update == "replace":
+        ledger.retract(ranking, config.k)
+    ledger.apply(served, config.k)
+    return served, value
+
+
+def forbid_lifts_and_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool of one provider needs no lifts and no search")
+
+    for name in ("err_rates", "normalize_lifts", "binary_search_lambda"):
+        monkeypatch.setattr(reranker, name, refuse)
+
+
+@pytest.mark.parametrize("notion", list(FairnessNotion))
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+def test_offline_one_provider_catalog_is_served_without_search(monkeypatch, ratio, notion):
+    # ratio 1 gives the whole-catalog pool, 0.5 a ranked prefix
+    rng = np.random.default_rng(5)
+    matrix = PreferenceMatrix(rng.random((6, 12)))
+    catalog = Catalog.build(np.zeros(12, dtype=np.int64), matrix)
+    config = RunConfig(k=3, notion=notion, ratio=ratio)
+    with monkeypatch.context() as patched:
+        patched.setattr(reranker, "_serve", serve_by_search)
+        searched, searched_ledger, searched_report = fairsort_offline(matrix, catalog, config)
+    forbid_lifts_and_search(monkeypatch)
+    lists, ledger, report = fairsort_offline(matrix, catalog, config)
+    assert lists == searched and report == searched_report
+    for user in range(matrix.n_users):
+        assert lists[user] == top_k(matrix, user, config.k)
+        assert report.per_user[user] == 1.0
+    assert ledger.snapshot_lines() == searched_ledger.snapshot_lines()
+
+
+@pytest.mark.parametrize("notion", list(FairnessNotion))
+def test_online_pool_inside_one_provider_is_served_without_search(monkeypatch, notion):
+    # provider 0 owns every user's top half, and the pool is the top quarter
+    rng = np.random.default_rng(6)
+    scores = np.hstack([0.5 + rng.random((4, 6)) / 2, rng.random((4, 6)) / 2])
+    matrix = PreferenceMatrix(scores)
+    catalog = Catalog.build(np.repeat([0, 1], 6), matrix)
+    config = RunConfig(k=2, notion=notion, ratio=0.25)
+    trace = [0, 1, 2, 3, 0, 2]
+    with monkeypatch.context() as patched:
+        patched.setattr(reranker, "_serve", serve_by_search)
+        searched = OnlineState.fresh(catalog, notion)
+        searched_lists = [
+            fairsort_online_step(searched, matrix, catalog, user, config)[0] for user in trace
+        ]
+    forbid_lifts_and_search(monkeypatch)
+    state = OnlineState.fresh(catalog, notion)
+    lists = [fairsort_online_step(state, matrix, catalog, user, config)[0] for user in trace]
+    assert lists == searched_lists == [top_k(matrix, user, config.k) for user in trace]
+    assert state.ndcg_log == searched.ndcg_log == [(user, 1.0) for user in trace]
+    assert state.ledger.snapshot_lines() == searched.ledger.snapshot_lines()
 
 
 def test_offline_rejects_bad_order():

@@ -53,6 +53,26 @@ def test_err_rates_zero_mass_provider_is_pinned_to_zero():
     assert rates[0] > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    st.floats(0.0, 1e6),
+    st.data(),
+)
+def test_err_rates_uniform_equals_the_masked_division(item_count, budget, data):
+    # every item count is at least 1, so the plain division gives the same bits
+    catalog = catalog_with_masses(item_count, [1.0] * len(item_count))
+    ledger = ExposureLedger(budget, catalog, UF)
+    ledger.exposure = np.array(data.draw(st.lists(
+        st.floats(0.0, 2e6), min_size=len(item_count), max_size=len(item_count))))
+    deficit = ledger.target - ledger.exposure
+    sizes = catalog.item_count
+    masked = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
+    rates = err_rates(ledger)
+    assert rates.dtype == masked.dtype
+    assert rates.tobytes() == masked.tobytes()
+
+
 def test_normalize_lifts_two_sided_example():
     lifts = normalize_lifts(np.array([0.3, -0.3])).by_provider
     assert lifts.tolist() == pytest.approx([1.0, -1.0], abs=1e-12)
