@@ -22,6 +22,7 @@ import math
 import operator
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,6 +154,25 @@ def _parse_int(text: str, path: Path, lineno: int, what: str) -> int:
     return value
 
 
+def _tsv_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` of each non-blank line of a tab-separated file.
+
+    Raises :class:`DatasetFormatError` naming the line of the first row
+    that does not split into exactly ``columns``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: malformed row, expected {'<TAB>'.join(columns)}"
+                )
+            yield lineno, fields
+
+
 def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tuple[PreferenceMatrix, Catalog]:
     """Read a preference matrix and provider map from disk.
 
@@ -167,25 +187,15 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
     matrix_path = Path(matrix_path)
 
     assignment: dict[int, int] = {}
-    with open(provider_map_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DatasetFormatError(
-                    f"{provider_map_path}:{lineno}: malformed row, "
-                    f"expected item_id<TAB>provider_id"
-                )
-            item = _parse_int(fields[0], provider_map_path, lineno, "item_id")
-            provider = _parse_int(fields[1], provider_map_path, lineno, "provider_id")
-            if item in assignment:
-                raise DatasetFormatError(
-                    f"{provider_map_path}:{lineno}: duplicate provider assignment "
-                    f"for item {item}"
-                )
-            assignment[item] = provider
+    for lineno, fields in _tsv_rows(provider_map_path, ("item_id", "provider_id")):
+        item = _parse_int(fields[0], provider_map_path, lineno, "item_id")
+        provider = _parse_int(fields[1], provider_map_path, lineno, "provider_id")
+        if item in assignment:
+            raise DatasetFormatError(
+                f"{provider_map_path}:{lineno}: duplicate provider assignment "
+                f"for item {item}"
+            )
+        assignment[item] = provider
 
     if not assignment:
         raise DatasetFormatError(f"{provider_map_path}: provider map is empty")
@@ -273,47 +283,37 @@ def _scan_scores(matrix_path: Path, n_items: int) -> np.ndarray:
     """
     # one row of scores per user seen so far; -1 marks a pair not yet given
     rows: dict[int, list[float]] = {}
-    with open(matrix_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: malformed row, "
-                    f"expected user_id<TAB>item_id<TAB>score"
-                )
-            user = _parse_int(fields[0], matrix_path, lineno, "user_id")
-            item = _parse_int(fields[1], matrix_path, lineno, "item_id")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: malformed row, score is not a number: "
-                    f"{fields[2]!r}"
-                ) from None
-            if not math.isfinite(score):
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: score must be finite, got {fields[2]}"
-                )
-            if score < 0:
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: negative score {score} for "
-                    f"user {user}, item {item}"
-                )
-            if item >= n_items:
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: item {item} is missing a provider"
-                )
-            row = rows.get(user)
-            if row is None:
-                row = rows[user] = [-1.0] * n_items
-            if row[item] >= 0:
-                raise DatasetFormatError(
-                    f"{matrix_path}:{lineno}: duplicate score for user {user}, item {item}"
-                )
-            row[item] = score
+    for lineno, fields in _tsv_rows(matrix_path, ("user_id", "item_id", "score")):
+        user = _parse_int(fields[0], matrix_path, lineno, "user_id")
+        item = _parse_int(fields[1], matrix_path, lineno, "item_id")
+        try:
+            score = float(fields[2])
+        except ValueError:
+            raise DatasetFormatError(
+                f"{matrix_path}:{lineno}: malformed row, score is not a number: "
+                f"{fields[2]!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise DatasetFormatError(
+                f"{matrix_path}:{lineno}: score must be finite, got {fields[2]}"
+            )
+        if score < 0:
+            raise DatasetFormatError(
+                f"{matrix_path}:{lineno}: negative score {score} for "
+                f"user {user}, item {item}"
+            )
+        if item >= n_items:
+            raise DatasetFormatError(
+                f"{matrix_path}:{lineno}: item {item} is missing a provider"
+            )
+        row = rows.get(user)
+        if row is None:
+            row = rows[user] = [-1.0] * n_items
+        if row[item] >= 0:
+            raise DatasetFormatError(
+                f"{matrix_path}:{lineno}: duplicate score for user {user}, item {item}"
+            )
+        row[item] = score
 
     if not rows:
         raise DatasetFormatError(f"{matrix_path}: no triplets found")

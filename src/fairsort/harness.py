@@ -15,9 +15,9 @@ reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -85,8 +85,8 @@ class ExperimentSpec:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ConfigError("k must list positive integers")
+        if not self.k_values:
+            raise ConfigError("k must list at least one depth")
         repeated = [k for i, k in enumerate(self.k_values) if k in self.k_values[:i]]
         if repeated:
             raise ConfigError(f"k lists {repeated[0]} more than once")
@@ -94,14 +94,16 @@ class ExperimentSpec:
             raise ConfigError("rounds must be >= 1")
         if self.dataset not in ("synthetic", "files"):
             raise ConfigError("dataset must be 'synthetic' or 'files'")
-        if self.dataset == "files" and (
-            self.matrix_path is None or self.provider_map_path is None
-        ):
+        given = [path is not None for path in (self.matrix_path, self.provider_map_path)]
+        if self.dataset == "files" and not all(given):
             raise ConfigError("dataset=files needs matrix and provider_map paths")
+        if self.dataset == "synthetic" and any(given):
+            raise ConfigError("dataset=synthetic takes no matrix or provider_map path")
         if self.service_order not in ("ascending", "shuffled"):
             raise ConfigError("service_order must be 'ascending' or 'shuffled'")
-        # surface bad hyperparameters at spec construction time
-        self.run_config(self.k_values[0])
+        # surface bad depths and hyperparameters at spec construction time
+        for k in self.k_values:
+            self.run_config(k)
 
     def run_config(self, k: int) -> RunConfig:
         # every RunConfig field but k is a spec field of the same name
@@ -349,50 +351,55 @@ def emit_report(
     UIR is calibrated by the min-exposure model's DCF (mu1) and the top-K
     model's DPF under the spec's notion (mu2), both run at the row's K.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for k, report, mu1, mu2 in rows:
-            calibrated = mu1 > 0 and mu2 > 0 and report.avg_quality > 0
-            uir_val = ""  # an empty field when uncalibrated
-            if calibrated:
-                uir_val = metrics.uir(
-                    report.dcf, report.dpf(spec.notion), mu1, mu2, report.avg_quality
-                )
-            row = dict(
-                model=spec.model, scenario=spec.scenario, K=k, notion=spec.notion.value,
-                threshold=spec.threshold, lambda_max=spec.lambda_max, gap=spec.gap,
-                ratio=spec.ratio, seed=spec.seed, dcf=report.dcf, dpf_uf=report.dpf_uf,
-                dpf_qf=report.dpf_qf, total_quality=report.total_quality,
-                avg_quality=report.avg_quality, uir=uir_val,
-                uir_mu_source="auto" if calibrated else "degenerate",
+    table = []
+    for k, report, mu1, mu2 in rows:
+        calibrated = mu1 > 0 and mu2 > 0 and report.avg_quality > 0
+        uir_val = ""  # an empty field when uncalibrated
+        if calibrated:
+            uir_val = metrics.uir(
+                report.dcf, report.dpf(spec.notion), mu1, mu2, report.avg_quality
             )
-            row.update((f"hist_{i}", count) for i, count in enumerate(report.histogram))
-            writer.writerow([_fmt(row[column]) for column in SUMMARY_COLUMNS])
-    return path
+        row = dict(
+            model=spec.model, scenario=spec.scenario, K=k, notion=spec.notion.value,
+            threshold=spec.threshold, lambda_max=spec.lambda_max, gap=spec.gap,
+            ratio=spec.ratio, seed=spec.seed, dcf=report.dcf, dpf_uf=report.dpf_uf,
+            dpf_qf=report.dpf_qf, total_quality=report.total_quality,
+            avg_quality=report.avg_quality, uir=uir_val,
+            uir_mu_source="auto" if calibrated else "degenerate",
+        )
+        row.update((f"hist_{i}", count) for i, count in enumerate(report.histogram))
+        table.append(row)
+    return _write_table(path, SUMMARY_COLUMNS, table)
 
 
-def _write_ndcg_file(path: Path, per_user: dict[int, float]) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        for user in sorted(per_user):
-            fh.write(f"{user}\t{_fmt(per_user[user])}\n")
-    return path
-
-
-def _write_ledger_file(path: Path, ledger: ExposureLedger) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in ledger.snapshot_lines():
+def _write_lines(path: Path, lines: Iterable[str]) -> Path:
+    """Write each of ``lines`` followed by a newline, as UTF-8."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in lines:
             fh.write(line + "\n")
     return path
 
 
+def _write_table(path: Path, columns: list[str], rows: list[dict]) -> Path:
+    """A CSV file of ``columns`` and one line per row dict.
+
+    Every field is a number, empty, or a name from a fixed set, so none
+    needs quoting.
+    """
+    lines = (",".join(_fmt(row[column]) for column in columns) for row in rows)
+    return _write_lines(path, [",".join(columns), *lines])
+
+
+def _write_ndcg_file(path: Path, per_user: dict[int, float]) -> Path:
+    return _write_lines(path, (f"{user}\t{_fmt(per_user[user])}" for user in sorted(per_user)))
+
+
+def _write_ledger_file(path: Path, ledger: ExposureLedger) -> Path:
+    return _write_lines(path, ledger.snapshot_lines())
+
+
 def _write_timeseries(path: Path, rows: list[dict]) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMESERIES_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[column]) for column in TIMESERIES_COLUMNS])
-    return path
+    return _write_table(path, TIMESERIES_COLUMNS, rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
@@ -442,12 +449,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", choices=MODELS)
     run.add_argument("--scenario", choices=SCENARIOS)
     run.add_argument("--k", help="comma-separated list depths, e.g. 5,10,20")
-    run.add_argument("--threshold", type=float)
-    run.add_argument("--lambda-max", dest="lambda_max", type=float)
-    run.add_argument("--gap", type=float)
-    run.add_argument("--ratio", type=float)
+    run.add_argument("--threshold")
+    run.add_argument("--lambda-max", dest="lambda_max")
+    run.add_argument("--gap")
+    run.add_argument("--ratio")
     run.add_argument("--notion", choices=[n.value for n in FairnessNotion])
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed")
     run.add_argument("--out", help="output directory")
     return parser
 
@@ -466,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         spec = build_spec(config, overrides)
         written = run_experiment(spec)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -22,6 +22,7 @@ from .catalog import (
     Catalog,
     PreferenceMatrix,
     RankedList,
+    _ideal_top,
     _smallest_k,
     _smallest_k_seeded,
     original_ranking,
@@ -143,8 +144,6 @@ def _pool_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Positions of the pool's first ``k`` items, then its ids, scores and lifts."""
     if isinstance(pool, _CatalogPool):
-        if len(pool.head) != k:
-            raise ValueError(f"pool head of {len(pool.head)} items, need {k}")
         # every id sits at its own position
         head_at = np.asarray(pool.head.items, dtype=np.int64)
         ids = np.arange(matrix.n_items)
@@ -205,15 +204,13 @@ def binary_search_lambda_traced(
     ``pool`` must come from :func:`candidate_pool`: its first k items are
     the user's own top k in order, the verified head, and the rest may come
     in any order, since ties in the lifted score break by id.  The head
-    scores NDCG 1, so weight 0 always clears the floor.  A pool whose first
-    k items are not the user's own top k raises ``ValueError``.  The check
-    is exact and O(n), on the head's scores read from the user's row: the
-    first k must be in (score desc, id asc) order, and exactly k - 1 of the
-    user's items may precede the k-th in that order.  Bisection keeps the
-    invariant NDCG(lo) >= threshold and stops once hi - lo <= gap, returning
-    the largest probed weight that passed.  Each probe selects its top k only
-    among the items keyed at or below the previous probe's list (the first,
-    the head's), which gives the lists :func:`rerank_with_lambda` gives.
+    scores NDCG 1, so weight 0 always clears the floor.  A pool whose head
+    is not ``_ideal_top(row, k)``, the first k of the user's own ranking,
+    raises ``ValueError``.  Bisection keeps the invariant NDCG(lo) >=
+    threshold and stops once hi - lo <= gap, returning the largest probed
+    weight that passed.  Each probe selects its top k only among the items
+    keyed at or below the previous probe's list (the first, the head's),
+    which gives the lists :func:`rerank_with_lambda` gives.
 
     Probe order: lambda_max / 2 first; if it passes, lambda_max itself,
     returned with its list if it clears the floor; otherwise the halvings go
@@ -233,14 +230,7 @@ def binary_search_lambda_traced(
     head_at, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     head = ids[head_at]
     row = matrix.scores[user]
-    head_scores = row[head]
-    last, cut = head[-1], head_scores[-1]
-    in_order = np.all(
-        (head_scores[:-1] > head_scores[1:])
-        | ((head_scores[:-1] == head_scores[1:]) & (head[:-1] < head[1:]))
-    )
-    ahead = np.count_nonzero(row > cut) + np.count_nonzero(row[:last] == cut)
-    if not in_order or ahead != k - 1:
+    if not np.array_equal(head, _ideal_top(row, k)):
         raise ValueError(f"pool for user {user} does not start with the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the pool starts with the user's own top k, so its NDCG is exactly 1

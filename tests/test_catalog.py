@@ -47,10 +47,18 @@ def test_load_dataset_quality_mass_matches_double_sum(tmp_path):
     assert catalog.quality_mass.tolist() == pytest.approx(expected, abs=1e-12)
 
 
-def test_load_dataset_malformed_row_reports_line(tmp_path):
-    matrix_file = write(tmp_path / "m.tsv", "0\t0\t0.5\n0\t1\n")
-    provider_file = write(tmp_path / "p.tsv", "0\t0\n1\t0\n")
-    with pytest.raises(DatasetFormatError, match=r"m\.tsv:2"):
+@pytest.mark.parametrize(
+    "matrix_text, provider_text, where",
+    [
+        ("0\t0\t0.5\n0\t1\n", "0\t0\n1\t0\n", r"m\.tsv:2: .*user_id<TAB>item_id<TAB>score"),
+        ("0\t0\t0.5\n0\t1\t0.25\n", "0\t0\n1\t0\t7\n", r"p\.tsv:2: .*item_id<TAB>provider_id"),
+    ],
+    ids=["matrix", "provider_map"],
+)
+def test_load_dataset_malformed_row_reports_line(tmp_path, matrix_text, provider_text, where):
+    matrix_file = write(tmp_path / "m.tsv", matrix_text)
+    provider_file = write(tmp_path / "p.tsv", provider_text)
+    with pytest.raises(DatasetFormatError, match=where):
         load_dataset(matrix_file, provider_file)
 
 

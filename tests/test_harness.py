@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,46 @@ def test_spec_validation_errors():
         ExperimentSpec(service_order="random")
     with pytest.raises(ConfigError, match="k lists 4 more than once"):
         ExperimentSpec(k_values=(4, 5, 4))
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [{"matrix": "m.tsv"}, {"provider_map": "p.tsv"}, {"matrix": "m.tsv", "provider_map": "p.tsv"}],
+    ids=["matrix", "provider_map", "both"],
+)
+def test_synthetic_dataset_rejects_data_paths(paths):
+    with pytest.raises(ConfigError, match="matrix or provider_map"):
+        build_spec({"dataset": "synthetic", **paths})
+    # no dataset key means synthetic data
+    with pytest.raises(ConfigError, match="matrix or provider_map"):
+        build_spec(paths)
+
+
+@pytest.mark.parametrize("late_k", [2.5, True, 0])
+def test_spec_checks_every_k_at_construction(late_k):
+    with pytest.raises(ValueError, match="k must be"):
+        ExperimentSpec(k_values=(5, late_k))
+
+
+@pytest.mark.parametrize("late_k", [2.5, True, 0])
+def test_cli_bad_late_k_writes_no_file(tmp_path, capsys, late_k):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(BASE, out=str(out), k=[5, late_k])))
+    code = main(["run", "--config", str(config_path)])
+    assert code == 2
+    # the config's parser refuses 2.5 and True; the spec refuses 0
+    assert re.search(r"bad value for 'k'|k must be >= 1", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key, value", [("--seed", "seed", "2.5"), ("--threshold", "threshold", "abc")]
+)
+def test_cli_flag_values_parse_like_config_values(tmp_path, capsys, flag, key, value):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(BASE, out=str(tmp_path / "out"))))
+    code = main(["run", "--config", str(config_path), flag, value])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

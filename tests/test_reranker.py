@@ -174,6 +174,22 @@ def test_binary_search_rejects_pool_not_led_by_own_top_k(by_provider):
             search(matrix, 0, pool, lifts, config, catalog)
 
 
+@pytest.mark.parametrize("search_k", [3, 5])
+def test_binary_search_rejects_whole_catalog_pool_built_for_another_k(search_k):
+    # the head holds the user's own top 4, one item more or less than the
+    # search's k
+    matrix = PreferenceMatrix(np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.4]]))
+    catalog = Catalog.build(np.array([0, 1, 0, 1, 0, 1]), matrix)
+    pool = candidate_pool(original_ranking(matrix, 0, 4), 1.0, 4, n_items=6)
+    assert not isinstance(pool, RankedList)
+    config = RunConfig(k=search_k, notion=UF, threshold=0.9)
+    for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
+        lifts = LiftAssignment(by_provider=np.array(by_provider))
+        for search in (binary_search_lambda, binary_search_lambda_traced):
+            with pytest.raises(ValueError, match="does not start with the user's own top"):
+                search(matrix, 0, pool, lifts, config, catalog)
+
+
 @pytest.mark.parametrize(
     "scores, pool, k",
     [
