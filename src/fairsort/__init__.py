@@ -3,8 +3,8 @@
 Re-sorts each user's candidate items by preference plus a per-provider
 fairness lift, choosing the largest lift weight that keeps the user's NDCG
 above a configurable floor.  Ships the re-ranker itself, reference
-baselines, fairness metrics, slow checking oracles and an experiment
-harness with a CLI (``fairsort run``).
+baselines, fairness metrics and an experiment harness with a CLI
+(``fairsort run``).
 """
 
 from .baselines import all_random, min_exposure, mixed_k, top_k

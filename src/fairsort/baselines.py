@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import PreferenceMatrix, RankedList, _ideal_top, _smallest_k, original_ranking
+from .catalog import (
+    PreferenceMatrix,
+    RankedList,
+    _check_depth,
+    _ideal_top,
+    _smallest_k,
+    _user_row,
+    original_ranking,
+)
 from .exposure import _slot_weights
 
 
 def top_k(matrix: PreferenceMatrix, user: int, k: int) -> RankedList:
     """The user's k best items in preference order."""
-    if matrix.n_items < k:
-        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
     return original_ranking(matrix, user, k)
 
 
@@ -27,13 +33,10 @@ def mixed_k(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     sampled without replacement from the rest of the ranking.  ``seed`` is
     anything ``numpy.random.default_rng`` accepts.
     """
-    if not 0 <= user < matrix.n_users:
-        raise ValueError(f"user {user} out of range")
-    if matrix.n_items < k:
-        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
+    row = _user_row(matrix, user, k)
     head_len = (k + 1) // 2
     # the draw picks by position, so the remainder keeps ranking order
-    ranking = _ideal_top(matrix.scores[user], matrix.n_items)
+    ranking = _ideal_top(row, matrix.n_items)
     rng = np.random.default_rng(seed)
     tail = rng.choice(ranking[head_len:], size=k - head_len, replace=False)
     return RankedList(user, tuple(ranking[:head_len].tolist() + tail.tolist()))
@@ -41,8 +44,7 @@ def mixed_k(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
 
 def all_random(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     """k items drawn uniformly without replacement, kept in draw order."""
-    if matrix.n_items < k:
-        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
+    _user_row(matrix, user, k)  # checks the user and k
     rng = np.random.default_rng(seed)
     picks = rng.choice(matrix.n_items, size=k, replace=False)
     return RankedList(user, tuple(int(i) for i in picks))
@@ -56,9 +58,7 @@ def min_exposure(exposure: np.ndarray, user: int, k: int) -> RankedList:
     slot weight once it is complete, so the list is simply the k smallest
     entries of ``exposure``.
     """
-    n = exposure.size
-    if n < k:
-        raise ValueError(f"k={k} exceeds the {n}-item universe")
-    items = _smallest_k(exposure, np.arange(n), k)
+    _check_depth(k, exposure.size)
+    items = _smallest_k(exposure, np.arange(exposure.size), k)
     exposure[items] += _slot_weights(k)
     return RankedList(user, tuple(items.tolist()))

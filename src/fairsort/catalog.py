@@ -368,6 +368,21 @@ def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
     return _smallest_k(-row, np.arange(row.size), k)
 
 
+def _check_depth(depth: int, n_items: int) -> None:
+    """Raise ``ValueError`` unless a list of ``depth`` items fits ``n_items``."""
+    if not 1 <= depth <= n_items:
+        raise ValueError(f"depth {depth} outside 1..{n_items}")
+
+
+def _user_row(matrix: PreferenceMatrix, user: int, depth: int) -> np.ndarray:
+    """The user's score row, once the user and a list depth are checked."""
+    # a negative index would wrap around to another user's row
+    if not 0 <= user < matrix.n_users:
+        raise ValueError(f"user {user} out of range")
+    _check_depth(depth, matrix.n_items)
+    return matrix.scores[user]
+
+
 def original_ranking(matrix: PreferenceMatrix, user: int, depth: int | None = None) -> RankedList:
     """The user's first ``depth`` items by preference, descending; ties by ascending id.
 
@@ -375,13 +390,9 @@ def original_ranking(matrix: PreferenceMatrix, user: int, depth: int | None = No
     prefix of the full ranking, and costs a partial selection instead of a
     full sort.
     """
-    if not 0 <= user < matrix.n_users:
-        raise ValueError(f"user {user} out of range")
     if depth is None:
         depth = matrix.n_items
-    elif not 1 <= depth <= matrix.n_items:
-        raise ValueError(f"depth {depth} outside 1..{matrix.n_items}")
-    return RankedList(user, tuple(_ideal_top(matrix.scores[user], depth).tolist()))
+    return RankedList(user, tuple(_ideal_top(_user_row(matrix, user, depth), depth).tolist()))
 
 
 def _allocate_sizes(n_items: int, weights: np.ndarray) -> np.ndarray:

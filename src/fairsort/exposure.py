@@ -61,6 +61,8 @@ def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
 
 def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray:
     """Per-provider exposure contributed by the first ``k`` slots of a list."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if len(rlist) < k:
         raise ValueError(f"list has {len(rlist)} items, need {k}")
     items = np.asarray(rlist.items[:k], dtype=np.int64)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PreferenceMatrix, RankedList, _ideal_top
+from .catalog import PreferenceMatrix, RankedList, _ideal_top, _user_row
 from .exposure import _slot_weights
 
 
@@ -15,18 +15,18 @@ def _dcg_items(row: np.ndarray, items: np.ndarray, k: int) -> float:
 
 
 def dcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
-    """Discounted cumulative gain of the first ``k`` slots of a list."""
+    """Discounted cumulative gain of the first ``k`` slots of ``user``'s list."""
+    if rlist.user != user:
+        raise ValueError(f"list is for user {rlist.user}, not user {user}")
+    row = _user_row(matrix, user, k)
     if len(rlist) < k:
         raise ValueError(f"list has {len(rlist)} items, need {k}")
-    items = np.asarray(rlist.items, dtype=np.int64)
-    return _dcg_items(matrix.scores[user], items, k)
+    return _dcg_items(row, np.asarray(rlist.items, dtype=np.int64), k)
 
 
 def ideal_dcg(matrix: PreferenceMatrix, user: int, k: int) -> float:
     """DCG of the user's top ``k`` items by preference; the NDCG denominator."""
-    if k > matrix.n_items:
-        raise ValueError(f"k={k} exceeds the {matrix.n_items}-item universe")
-    row = matrix.scores[user]
+    row = _user_row(matrix, user, k)
     # gather through _dcg_items so that scoring the user's own top-k yields
     # a bit-exact ratio of 1
     return _dcg_items(row, _ideal_top(row, k), k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import ExposureLedger, FairnessNotion, _provider_sizes
+from .exposure import ExposureLedger, _provider_sizes
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ def err_rates(ledger: ExposureLedger) -> np.ndarray:
     """
     sizes = _provider_sizes(ledger.catalog, ledger.notion)
     deficit = ledger.target - ledger.exposure
-    if ledger.notion is FairnessNotion.UNIFORM:
-        # every provider owns an item, so no count is zero
-        return deficit / sizes
     return np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
 
 

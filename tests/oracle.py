@@ -10,12 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, PreferenceMatrix, RankedList
-from .velocity import LiftAssignment
+from fairsort import Catalog, LiftAssignment, PreferenceMatrix, RankedList
 
 
 def selection_sort_ranking(row: Sequence[float]) -> list[int]:
@@ -48,6 +48,32 @@ def naive_ndcg(row: Sequence[float], items: Sequence[int], k: int) -> float:
     if ideal == 0.0:
         return 1.0
     return min(naive_dcg(row, items, k) / ideal, 1.0)
+
+
+def exact_ndcg(row: Sequence[float], items: Sequence[int], k: int) -> Fraction:
+    """NDCG in exact rational arithmetic over the float slot weights.
+
+    Each score and each weight ``1.0 / math.log2(slot + 1)`` is a float, and
+    every sum and the ratio are taken exactly, so no rounding on any score
+    scale (subnormal included) can move the result.  An all-zero ideal
+    scores 1.
+    """
+    weights = [Fraction(1.0 / math.log2(slot + 1)) for slot in range(1, k + 1)]
+
+    def exact_dcg(ranked: Sequence[int]) -> Fraction:
+        return sum(Fraction(row[i]) * w for i, w in zip(ranked[:k], weights))
+
+    ideal = exact_dcg(sorted(range(len(row)), key=lambda i: (-row[i], i)))
+    return Fraction(1) if ideal == 0 else exact_dcg(items) / ideal
+
+
+def probe_bound(config) -> int:
+    """Most probes a search may evaluate.
+
+    One per halving of [0, lambda_max] down to ``gap``, plus one at
+    ``lambda_max`` itself.
+    """
+    return math.ceil(math.log2(config.lambda_max / config.gap)) + 1
 
 
 def grid_lambda_profile(

@@ -8,7 +8,6 @@ traced search, which exposes its evaluation count for budgeting.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -35,18 +34,19 @@ from fairsort.harness import (
     run_cell_online,
     run_experiment,
 )
-from fairsort.oracle import (
+from fairsort.reranker import binary_search_lambda_traced
+
+from conftest import make_search_instance
+from oracle import (
     RunRecord,
     exhaustive_best_dcg,
     grid_lambda_profile,
     naive_dcg,
     naive_ndcg,
+    probe_bound,
     replay_check,
     selection_sort_ranking,
 )
-from fairsort.reranker import binary_search_lambda_traced
-
-from conftest import make_search_instance
 
 USERS, ITEMS, PROVIDERS, SKEW, DATA_SEED = 200, 500, 20, 1.5, 1
 K_VALUES = (5, 10, 20)
@@ -202,7 +202,6 @@ def _grid_best_weight(matrix, user, lifts, catalog, config, points=10_001):
 def test_03_bisection_matches_dense_grid():
     with criterion(3, "bisection matches a dense weight grid within one gap (50 instances)"):
         start = time.perf_counter()
-        budget = math.ceil(math.log2(16.0 / 2.0**-7)) + 1
         for seed in range(100, 150):
             inst = make_search_instance(seed)
             pool = candidate_pool(original_ranking(inst.matrix, inst.user), 1.0)
@@ -210,7 +209,7 @@ def test_03_bisection_matches_dense_grid():
                 inst.matrix, inst.user, pool, inst.lifts, inst.config, inst.catalog
             )
             assert value >= inst.config.threshold
-            assert evaluations <= budget
+            assert evaluations <= probe_bound(inst.config)
             lam_grid = _grid_best_weight(
                 inst.matrix, inst.user, inst.lifts, inst.catalog, inst.config
             )

@@ -19,7 +19,8 @@ from fairsort import (
 )
 from fairsort import catalog as catalog_module
 from fairsort.catalog import _scan_scores
-from fairsort.oracle import selection_sort_ranking
+
+from oracle import selection_sort_ranking
 
 
 def write(path, text):

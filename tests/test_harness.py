@@ -21,7 +21,8 @@ from fairsort.harness import (
     run_cell_online,
     run_experiment,
 )
-from fairsort.oracle import RunRecord, replay_check
+
+from oracle import RunRecord, replay_check
 
 BASE = {
     "dataset": "synthetic",

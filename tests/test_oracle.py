@@ -1,8 +1,15 @@
 """The slow reference implementations and the run replay checker."""
 
+import ast
+import importlib.util
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fairsort
 from fairsort import (
     FairnessNotion,
     PreferenceMatrix,
@@ -10,12 +17,17 @@ from fairsort import (
     RunConfig,
     generate_synthetic,
     ideal_dcg,
+    ndcg,
     ndcg_histogram,
     normalize_lifts,
     top_k,
 )
-from fairsort.oracle import (
+from fairsort.exposure import _slot_weights
+
+import oracle
+from oracle import (
     RunRecord,
+    exact_ndcg,
     exhaustive_best_dcg,
     grid_lambda_profile,
     naive_ndcg,
@@ -60,6 +72,43 @@ def test_naive_ndcg_of_identity_prefix_is_one():
     rng = np.random.default_rng(3)
     row = np.sort(rng.random(8))[::-1].tolist()
     assert naive_ndcg(row, list(range(8)), 4) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracles_ship_with_the_tests_and_use_only_the_public_api():
+    assert importlib.util.find_spec("fairsort.oracle") is None
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("fairsort")]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            assert node.level == 0, "relative import"
+            if node.module.split(".")[0] == "fairsort":
+                assert node.module == "fairsort"
+                assert {a.name for a in node.names} <= set(fairsort.__all__)
+
+
+def test_exact_ndcg_agrees_with_ndcg_on_synthetic_rows():
+    # the oracle's weights are the package's, bit for bit
+    assert [1.0 / math.log2(r + 1) for r in range(1, 1001)] == _slot_weights(1000).tolist()
+    for seed in range(4):
+        matrix, _ = generate_synthetic(10, 30, 3, 1.5, seed=seed)
+        rng = np.random.default_rng(seed)
+        for user in range(matrix.n_users):
+            k = int(rng.integers(1, 11))
+            items = tuple(int(i) for i in rng.permutation(30)[:k])
+            exact = exact_ndcg(matrix.scores[user].tolist(), items, k)
+            served = ndcg(matrix, user, RankedList(user, items), k)
+            assert abs(float(exact) - served) <= 1e-12
+
+
+def test_exact_ndcg_holds_on_a_subnormal_row():
+    # float DCGs round in the subnormal range: naive_ndcg reads 0.5 here
+    row = [5e-324, 0.0, 5e-324, 0.0]
+    w1, w2, w3 = (Fraction(1.0 / math.log2(slot + 1)) for slot in (1, 2, 3))
+    value = exact_ndcg(row, (2, 3, 0), 3)
+    assert value == (w1 + w3) / (w1 + w2)
+    assert round(float(value), 5) == 0.91972
+    assert naive_ndcg(row, (2, 3, 0), 3) == 0.5
 
 
 def _clean_record(scenario="offline"):

@@ -7,9 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairsort import PreferenceMatrix, RankedList, dcg, ideal_dcg, ndcg
-from fairsort.oracle import naive_dcg, naive_ndcg
+from fairsort import (
+    PreferenceMatrix,
+    RankedList,
+    all_random,
+    dcg,
+    generate_synthetic,
+    ideal_dcg,
+    list_contribution,
+    min_exposure,
+    mixed_k,
+    ndcg,
+    top_k,
+)
 from fairsort.catalog import _ideal_top, _smallest_k, _smallest_k_seeded
+
+from oracle import naive_dcg, naive_ndcg
 
 TWO_ITEMS = PreferenceMatrix(np.array([[0.8, 0.9]]))
 
@@ -50,6 +63,40 @@ def test_ideal_dcg_rejects_k_beyond_universe():
 def test_dcg_rejects_short_list():
     with pytest.raises(ValueError):
         dcg(TWO_ITEMS, 0, RankedList(0, (0,)), 2)
+
+
+SMALL, SMALL_CATALOG = generate_synthetic(4, 10, 2, 1.0, 0)
+
+
+BAD_CALLS = [
+    ("ndcg-of-another-users-list", lambda: ndcg(SMALL, 0, top_k(SMALL, 3, 3), 3), "not user 0"),
+    ("dcg-of-another-users-list", lambda: dcg(SMALL, 0, top_k(SMALL, 3, 3), 3), "not user 0"),
+    ("ndcg-user-negative", lambda: ndcg(SMALL, -1, top_k(SMALL, 3, 3), 3), "user -1 out of range"),
+    ("ndcg-user-past-last", lambda: ndcg(SMALL, 4, RankedList(4, (0, 1, 2)), 3), "user 4 out"),
+    ("ideal_dcg-user-negative", lambda: ideal_dcg(SMALL, -1, 3), "user -1 out of range"),
+    ("ideal_dcg-user-past-last", lambda: ideal_dcg(SMALL, 4, 3), "user 4 out of range"),
+    ("top_k-user-negative", lambda: top_k(SMALL, -1, 3), "user -1 out of range"),
+    ("mixed_k-user-past-last", lambda: mixed_k(SMALL, 4, 3, 0), "user 4 out of range"),
+    ("all_random-user-past-last", lambda: all_random(SMALL, 99, 3, 0), "user 99 out of range"),
+    ("all_random-user-negative", lambda: all_random(SMALL, -1, 3, 0), "user -1 out of range"),
+    ("top_k-k0", lambda: top_k(SMALL, 0, 0), "depth 0"),
+    ("mixed_k-k0", lambda: mixed_k(SMALL, 0, 0, 0), "depth 0"),
+    ("all_random-k0", lambda: all_random(SMALL, 0, 0, 0), "depth 0"),
+    ("min_exposure-k0", lambda: min_exposure(np.zeros(10), 0, 0), "depth 0"),
+    ("ideal_dcg-k0", lambda: ideal_dcg(SMALL, 0, 0), "depth 0"),
+    ("ndcg-k0", lambda: ndcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
+    ("dcg-k0", lambda: dcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
+    ("list_contribution-k0",
+     lambda: list_contribution(top_k(SMALL, 0, 3), 0, SMALL_CATALOG), "k must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [pytest.param(call, message, id=name) for name, call, message in BAD_CALLS]
+)
+def test_scoring_and_baselines_reject_bad_users_and_depths(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_dcg_uses_only_first_k_slots():

@@ -32,10 +32,10 @@ from fairsort import (
     total_exposure,
 )
 from fairsort.harness import make_trace
-from fairsort.oracle import grid_lambda_profile, naive_ndcg
 from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
 from conftest import make_search_instance
+from oracle import grid_lambda_profile, naive_ndcg, probe_bound
 
 UF = FairnessNotion.UNIFORM
 
@@ -263,10 +263,6 @@ def reference_search(matrix, user, pool, lifts, config, catalog):
         if value >= config.threshold:
             best = (config.lambda_max, rlist, value)
     return (*best, evaluations)
-
-
-def probe_bound(config):
-    return math.ceil(math.log2(config.lambda_max / config.gap)) + 1
 
 
 def assert_matches_reference(served, matrix, pool, lifts, config, catalog):
