@@ -142,6 +142,21 @@ class RankedList:
         return len(self.items)
 
 
+def _list_ids(rlist: RankedList, k: int, n_items: int) -> np.ndarray:
+    """The list's first ``k`` ids as an array, once it has ``k`` and all are in the catalog."""
+    items = rlist.items[:k]
+    if len(items) < k:
+        raise ValueError(f"list has {len(items)} items, need {k}")
+    # ids are distinct and >= 0, so only the largest can fall outside
+    if items and max(items) >= n_items:
+        item = next(i for i in items if i >= n_items)
+        raise ValueError(
+            f"list for user {rlist.user} holds item {item}, outside the catalog of "
+            f"{n_items} items"
+        )
+    return np.asarray(items, dtype=np.int64)
+
+
 def _parse_int(text: str, path: Path, lineno: int, what: str) -> int:
     try:
         value = int(text)

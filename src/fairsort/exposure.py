@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import Catalog, RankedList
+from .catalog import Catalog, RankedList, _list_ids
 
 
 class LedgerError(RuntimeError):
@@ -63,9 +63,7 @@ def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray
     """Per-provider exposure contributed by the first ``k`` slots of a list."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(rlist) < k:
-        raise ValueError(f"list has {len(rlist)} items, need {k}")
-    items = np.asarray(rlist.items[:k], dtype=np.int64)
+    items = _list_ids(rlist, k, catalog.n_items)
     # adds the weights in slot order, as np.add.at would, so bit for bit the same
     return np.bincount(
         catalog.provider_of[items], weights=_slot_weights(k), minlength=catalog.n_providers

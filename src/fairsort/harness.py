@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, metrics
-from .catalog import Catalog, PreferenceMatrix, RankedList, generate_synthetic, load_dataset
+from .catalog import (
+    Catalog,
+    DatasetFormatError,
+    PreferenceMatrix,
+    RankedList,
+    generate_synthetic,
+    load_dataset,
+)
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
 from .quality import ndcg
 from .reranker import OnlineState, RunConfig, fairsort_offline, fairsort_online_step
@@ -181,7 +188,13 @@ def build_spec(config: dict, overrides: dict | None = None) -> ExperimentSpec:
 
 def _load(spec: ExperimentSpec) -> tuple[PreferenceMatrix, Catalog]:
     if spec.dataset == "files":
-        return load_dataset(spec.matrix_path, spec.provider_map_path)
+        matrix, catalog = load_dataset(spec.matrix_path, spec.provider_map_path)
+        # every report reads DPF under both notions, and qf's needs quality mass
+        if not catalog.quality_mass.any():
+            raise DatasetFormatError(
+                f"{spec.matrix_path}: every score is 0, so no provider has quality mass"
+            )
+        return matrix, catalog
     return generate_synthetic(
         spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
     )

@@ -23,12 +23,14 @@ from .catalog import (
     PreferenceMatrix,
     RankedList,
     _ideal_top,
+    _list_ids,
     _smallest_k,
+    _smallest_k_at,
     _smallest_k_seeded,
     original_ranking,
 )
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
-from .quality import QualityReport, _dcg_items, _normalized
+from .quality import QualityReport, _dcg, _normalized, _unit_scale
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
@@ -95,18 +97,18 @@ def _serve_depth(n_items: int, config: RunConfig) -> int:
     """How deep a serve ranks its user.
 
     A pool smaller than the catalog is the ranking's prefix, so the ranking
-    must reach the pool's depth.  A pool of the whole catalog needs only its
-    head, the user's top k, because the search takes every item anyway.
+    must reach the pool's depth.  A pool of the whole catalog reads none of
+    it, so the ranking is the user's top k, the ledger's stand-in.
     """
     size = _pool_size(n_items, config.ratio, config.k)
     return config.k if size == n_items else size
 
 
-@dataclass(frozen=True)
 class _CatalogPool:
-    """The whole catalog as a candidate pool, led by the user's top k in order."""
+    """The whole catalog as a candidate pool: every id, so nothing is stored."""
 
-    head: RankedList
+
+_CATALOG = _CatalogPool()
 
 
 def candidate_pool(
@@ -117,18 +119,15 @@ def candidate_pool(
     ``n`` is the ranking's length, or ``n_items`` when the ranking is only a
     prefix of the user's ranking over that many items; the prefix must hold
     the whole pool.  A pool of the whole ranking is the ranking itself;
-    lists are frozen.  The search reads only the pool's first ``k`` items
-    in order, its verified head; the rest may come in any order.  So a pool
-    of all ``n_items`` is served from a prefix of at least ``k`` items: its
-    head is the prefix's first ``k`` and its other items are every id, a
-    private form that only the search and :func:`rerank_with_lambda` read.
+    lists are frozen.  The search reads a pool as a set, so a pool of all
+    ``n_items`` that the ranking does not list in full is ``_CATALOG``, a
+    tag for every id that only the search and :func:`rerank_with_lambda` read.
     """
     size = _pool_size(len(ranking) if n_items is None else n_items, ratio, k)
     if size == len(ranking):
         return ranking
-    if size == n_items and k is not None and len(ranking) >= k:
-        head = ranking if len(ranking) == k else RankedList(ranking.user, ranking.items[:k])
-        return _CatalogPool(head)
+    if size == n_items:
+        return _CATALOG
     if size > len(ranking):
         raise ValueError(f"ranking of {len(ranking)} items cannot hold a pool of {size}")
     return RankedList(ranking.user, ranking.items[:size])
@@ -141,17 +140,15 @@ def _pool_arrays(
     lifts: LiftAssignment,
     k: int,
     catalog: Catalog,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the pool's first ``k`` items, then its ids, scores and lifts."""
-    if isinstance(pool, _CatalogPool):
-        # every id sits at its own position
-        head_at = np.asarray(pool.head.items, dtype=np.int64)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool's ids, scores and lifts."""
+    if pool is _CATALOG:
         ids = np.arange(matrix.n_items)
-        return head_at, ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
+        return ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
-    ids = np.asarray(pool.items, dtype=np.int64)
-    return np.arange(k), ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
+    ids = _list_ids(pool, len(pool), matrix.n_items)
+    return ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
 
 
 def rerank_with_lambda(
@@ -172,7 +169,7 @@ def rerank_with_lambda(
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    _, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
+    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     return RankedList(user, tuple(_smallest_k(-(scores + lam * item_lifts), ids, k).tolist()))
 
 
@@ -201,16 +198,16 @@ def binary_search_lambda_traced(
 ) -> tuple[float, RankedList, float, int]:
     """As :func:`binary_search_lambda`, also reporting the evaluation count.
 
-    ``pool`` must come from :func:`candidate_pool`: its first k items are
-    the user's own top k in order, the verified head, and the rest may come
-    in any order, since ties in the lifted score break by id.  The head
-    scores NDCG 1, so weight 0 always clears the floor.  A pool whose head
-    is not ``_ideal_top(row, k)``, the first k of the user's own ranking,
-    raises ``ValueError``.  Bisection keeps the invariant NDCG(lo) >=
-    threshold and stops once hi - lo <= gap, returning the largest probed
-    weight that passed.  Each probe selects its top k only among the items
-    keyed at or below the previous probe's list (the first, the head's),
-    which gives the lists :func:`rerank_with_lambda` gives.
+    ``pool`` is read as a set, since ties in the lifted score break by id.
+    Its head, its own top k at weight 0, must be ``_ideal_top(row, k)``,
+    the user's own top k, or ``ValueError`` is raised; the whole catalog's
+    always is.  The head scores NDCG 1, so weight 0 always clears the floor.
+    NDCG is taken on the scores scaled by :func:`_unit_scale` of the user's
+    top score.  Bisection keeps the invariant NDCG(lo) >= threshold and
+    stops once hi - lo <= gap, returning the largest probed weight that
+    passed.  Each probe selects its top k only among the items keyed at or
+    below the previous probe's list (the first, the head's), which gives
+    the lists :func:`rerank_with_lambda` gives.
 
     Probe order: lambda_max / 2 first; if it passes, lambda_max itself,
     returned with its list if it clears the floor; otherwise the halvings go
@@ -227,27 +224,28 @@ def binary_search_lambda_traced(
     one per halving plus one on lambda_max.
     """
     k = config.k
-    head_at, ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    head = ids[head_at]
-    row = matrix.scores[user]
-    if not np.array_equal(head, _ideal_top(row, k)):
-        raise ValueError(f"pool for user {user} does not start with the user's own top {k}")
-    # a constant shift cannot reorder anything, so the weight is irrelevant;
-    # the pool starts with the user's own top k, so its NDCG is exactly 1
-    if np.all(item_lifts == item_lifts[0]):
-        return 0.0, RankedList(user, tuple(head.tolist())), 1.0, 0
-
-    # the verified head is the user's own top k, so this is the ideal DCG
-    ideal = _dcg_items(row, head, k)
+    ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
     # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
     # zero, which no comparison sees
     neg_scores, neg_lifts = -scores, -item_lifts
+    head_at = _smallest_k_at(neg_scores, ids, k)
+    head = ids[head_at]
+    if pool is not _CATALOG and not np.array_equal(head, _ideal_top(matrix.scores[user], k)):
+        raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
+    # a constant shift cannot reorder anything, so the weight is irrelevant;
+    # the head is the user's own top k, so its NDCG is exactly 1
+    if np.all(item_lifts == item_lifts[0]):
+        return 0.0, RankedList(user, tuple(head.tolist())), 1.0, 0
+
+    # the head is the user's own top k, so this is the ideal DCG
+    gains = np.ldexp(scores, _unit_scale(scores[head_at[0]]))
+    ideal = _dcg(gains[head_at])
 
     def evaluate(lam: float, seed: np.ndarray) -> tuple[np.ndarray, float]:
         # the top k at lam as pool positions, selected near the seed list's
         # keys, and its NDCG; consecutive probes' lists barely differ
         top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, ids, k, seed)
-        return top_at, _normalized(_dcg_items(scores, top_at, k), ideal)
+        return top_at, _normalized(_dcg(gains[top_at]), ideal)
 
     evaluations = 0
     lo, hi = 0.0, config.lambda_max
@@ -282,13 +280,11 @@ def _serve(
     """Serve one user whose plain top-K list is already on the ledger.
 
     ``ranking`` is the user's ranking to the depth :func:`_serve_depth`
-    gives.  The pool's first k items are the verified head and the rest may
-    come in any order: a pool smaller than the catalog is the ranking's
-    prefix, and a pool of the whole catalog is the ranking's first k plus
-    every id.  Lifts come from the ledger as it stands, the largest weight
-    that clears the floor picks the list, and the list replaces the plain
-    top-K stand-in on the ledger (or is added on top of it in
-    ``accumulate`` mode).
+    gives.  The pool, a set that holds the user's top k, is the ranking's
+    prefix, or ``_CATALOG`` when it is the whole catalog.  Lifts come from
+    the ledger as it stands, the largest weight that clears the floor picks
+    the list, and the list replaces the plain top-K stand-in on the ledger
+    (or is added on top of it in ``accumulate`` mode).
 
     A pool whose items all belong to one provider gives every item the same
     lift, which no weight can turn into a reordering.  It is served as the
@@ -299,7 +295,7 @@ def _serve(
     """
     catalog = ledger.catalog
     pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
-    if isinstance(pool, _CatalogPool):
+    if pool is _CATALOG:
         one_provider = catalog.n_providers == 1
     else:
         providers = catalog.provider_of[np.asarray(pool.items, dtype=np.int64)]

@@ -374,3 +374,24 @@ def test_cli_flag_values_parse_like_config_values(tmp_path, capsys, flag, key, v
     assert code == 2
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", ["offline", "online"])
+def test_cli_rejects_an_all_zero_score_file_before_writing(tmp_path, capsys, scenario):
+    # every report reads DPF under qf too, which needs some quality mass;
+    # this run used to write its ndcg and ledger files, then crash
+    matrix = tmp_path / "matrix.tsv"
+    providers = tmp_path / "providers.tsv"
+    matrix.write_text("".join(f"{u}\t{i}\t0\n" for u in range(3) for i in range(6)))
+    providers.write_text("".join(f"{i}\t{i % 2}\n" for i in range(6)))
+    out = tmp_path / "out"
+    config = dict(BASE, dataset="files", matrix=str(matrix), provider_map=str(providers),
+                  scenario=scenario, k=[2], rounds=1, out=str(out))
+    for key in ("users", "items", "providers", "skew", "data_seed"):
+        del config[key]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{matrix}: every score is 0, so no provider has quality mass" in err
+    assert not out.exists()

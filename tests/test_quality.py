@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsort import (
+    ExposureLedger,
+    FairnessNotion,
+    LiftAssignment,
     PreferenceMatrix,
     RankedList,
+    RunConfig,
     all_random,
+    binary_search_lambda,
     dcg,
     generate_synthetic,
     ideal_dcg,
@@ -18,6 +23,7 @@ from fairsort import (
     min_exposure,
     mixed_k,
     ndcg,
+    rerank_with_lambda,
     top_k,
 )
 from fairsort.catalog import _ideal_top, _smallest_k, _smallest_k_seeded
@@ -96,6 +102,26 @@ BAD_CALLS = [
 )
 def test_scoring_and_baselines_reject_bad_users_and_depths(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+OUTSIDE = RankedList(0, (0, 1, 99))
+UF_CONFIG = RunConfig(k=3, notion=FairnessNotion.UNIFORM)
+LIFTS = LiftAssignment(by_provider=np.array([-1.0, 1.0]))
+
+OUTSIDE_CALLS = {
+    "ndcg": lambda: ndcg(SMALL, 0, OUTSIDE, 3),
+    "dcg": lambda: dcg(SMALL, 0, OUTSIDE, 3),
+    "ledger-apply": lambda: ExposureLedger(1.0, SMALL_CATALOG, UF_CONFIG.notion).apply(OUTSIDE, 3),
+    "search": lambda: binary_search_lambda(SMALL, 0, OUTSIDE, LIFTS, UF_CONFIG, SMALL_CATALOG),
+    "rerank": lambda: rerank_with_lambda(SMALL, 0, OUTSIDE, LIFTS, 1.0, 3, SMALL_CATALOG),
+}
+
+
+@pytest.mark.parametrize("call", list(OUTSIDE_CALLS.values()), ids=list(OUTSIDE_CALLS))
+def test_ids_past_the_catalog_are_rejected(call):
+    # numpy used to raise a bare IndexError for item 99
+    with pytest.raises(ValueError, match="user 0 holds item 99, outside the catalog of 10 "):
         call()
 
 

@@ -35,7 +35,7 @@ from fairsort.harness import make_trace
 from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
 from conftest import make_search_instance
-from oracle import grid_lambda_profile, naive_ndcg, probe_bound
+from oracle import exact_ndcg, grid_lambda_profile, naive_ndcg, probe_bound
 
 UF = FairnessNotion.UNIFORM
 
@@ -64,11 +64,10 @@ def test_candidate_pool_of_ranking_prefix():
     assert candidate_pool(prefix, 0.2, 2, n_items=10).items == (4, 1)
     with pytest.raises(ValueError, match="cannot hold"):
         candidate_pool(prefix, 0.4, 2, n_items=10)
-    # a whole-catalog pool needs only the prefix's first k as its head
-    whole = candidate_pool(prefix, 1.0, 2, n_items=10)
-    assert not isinstance(whole, RankedList) and whole.head.items == (4, 1)
-    with pytest.raises(ValueError, match="cannot hold"):
-        candidate_pool(prefix, 1.0, 4, n_items=10)
+    # a whole-catalog pool reads nothing of the ranking
+    assert candidate_pool(prefix, 1.0, 2, n_items=10) is candidate_pool(
+        RankedList(1, (0,)), 1.0, 4, n_items=10
+    )
 
 
 def test_candidate_pool_rounds_up():
@@ -175,43 +174,46 @@ def test_binary_search_rejects_pool_not_led_by_own_top_k(by_provider):
 
 
 @pytest.mark.parametrize("search_k", [3, 5])
-def test_binary_search_rejects_whole_catalog_pool_built_for_another_k(search_k):
-    # the head holds the user's own top 4, one item more or less than the
-    # search's k
+def test_whole_catalog_pool_serves_any_k(search_k):
+    # built from a ranking of the top 4, one item more or less than the
+    # search's k: the pool is every id, whatever k it was built for
     matrix = PreferenceMatrix(np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.4]]))
     catalog = Catalog.build(np.array([0, 1, 0, 1, 0, 1]), matrix)
     pool = candidate_pool(original_ranking(matrix, 0, 4), 1.0, 4, n_items=6)
     assert not isinstance(pool, RankedList)
+    full = candidate_pool(original_ranking(matrix, 0), 1.0)
     config = RunConfig(k=search_k, notion=UF, threshold=0.9)
     for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
         lifts = LiftAssignment(by_provider=np.array(by_provider))
         for search in (binary_search_lambda, binary_search_lambda_traced):
-            with pytest.raises(ValueError, match="does not start with the user's own top"):
-                search(matrix, 0, pool, lifts, config, catalog)
+            assert (search(matrix, 0, pool, lifts, config, catalog)
+                    == search(matrix, 0, full, lifts, config, catalog))
 
 
-@pytest.mark.parametrize(
-    "scores, pool, k",
-    [
-        # the user's own top 3, but not in ranking order
-        ([0.9, 0.5, 0.1, 0.05], (1, 0, 2, 3), 3),
-        # item 1 ties the 2nd score with a smaller id, yet sits outside the
-        # pool's head (and, as a ranked prefix, outside the pool)
-        ([0.9, 0.5, 0.5, 0.1], (0, 2, 3), 2),
-    ],
-)
-def test_binary_search_rejects_pool_head_off_the_ranking(scores, pool, k):
-    matrix = PreferenceMatrix(np.array([scores]))
+def test_binary_search_reads_a_pool_as_a_set():
+    # the user's own top 3, but not in ranking order
+    matrix = PreferenceMatrix(np.array([[0.9, 0.5, 0.1, 0.05]]))
     catalog = Catalog.build(np.array([0, 1, 0, 1]), matrix)
-    config = RunConfig(k=k, notion=UF, threshold=0.9)
-    # as a ranked prefix, and as the whole catalog led by the same head
-    whole = candidate_pool(RankedList(0, pool[:k]), 1.0, k, n_items=4)
-    assert not isinstance(whole, RankedList)
-    for form in (RankedList(0, pool), whole):
-        for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
-            lifts = LiftAssignment(by_provider=np.array(by_provider))
-            with pytest.raises(ValueError, match="user 0"):
-                binary_search_lambda_traced(matrix, 0, form, lifts, config, catalog)
+    config = RunConfig(k=3, notion=UF, threshold=0.9)
+    for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
+        lifts = LiftAssignment(by_provider=np.array(by_provider))
+        shuffled, ordered = (
+            binary_search_lambda_traced(matrix, 0, RankedList(0, pool), lifts, config, catalog)
+            for pool in ((1, 0, 2, 3), (0, 1, 2, 3))
+        )
+        assert shuffled == ordered
+
+
+def test_binary_search_rejects_pool_without_the_users_top_k():
+    # item 1 ties the 2nd score with a smaller id, yet sits outside the pool
+    matrix = PreferenceMatrix(np.array([[0.9, 0.5, 0.5, 0.1]]))
+    catalog = Catalog.build(np.array([0, 1, 0, 1]), matrix)
+    config = RunConfig(k=2, notion=UF, threshold=0.9)
+    pool = RankedList(0, (0, 2, 3))
+    for by_provider in ([-1.0, 1.0], [0.0, 0.0]):
+        lifts = LiftAssignment(by_provider=np.array(by_provider))
+        with pytest.raises(ValueError, match="user 0 does not hold the user's own top 2"):
+            binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
 
 
 @st.composite
@@ -306,6 +308,21 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
             binary_search_lambda_traced(matrix, 0, prefix, lifts, half, catalog),
             matrix, prefix, lifts, half, catalog,
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_catalog_cases(), st.data())
+def test_search_reads_a_ranked_prefix_in_any_order_alike(case, data):
+    scores, provider_of, by_provider, k, threshold = case
+    matrix = PreferenceMatrix(np.array([scores]))
+    catalog = Catalog.build(np.array(provider_of), matrix)
+    lifts = LiftAssignment(by_provider=np.array(by_provider))
+    config = RunConfig(k=k, notion=UF, threshold=threshold)
+    size = data.draw(st.integers(k, matrix.n_items))
+    prefix = original_ranking(matrix, 0, size)
+    shuffled = RankedList(0, tuple(data.draw(st.permutations(prefix.items))))
+    assert (binary_search_lambda_traced(matrix, 0, shuffled, lifts, config, catalog)
+            == binary_search_lambda_traced(matrix, 0, prefix, lifts, config, catalog))
 
 
 @st.composite
@@ -729,3 +746,75 @@ def test_run_config_validation():
                   {"gap": math.inf}, {"gap": math.nan}):
         with pytest.raises(ValueError):
             RunConfig(k=5, notion=UF, **bound)
+
+
+# two tied subnormal scores: unscaled, the DCG of (2, 3, 0) rounds up to the
+# ideal's, and that list was served at threshold 1 and logged at NDCG 1
+SUBNORMAL = PreferenceMatrix(np.array([[5e-324, 0.0, 5e-324, 0.0], [0.0, 1.0, 0.0, 1.0]]))
+SUBNORMAL_CATALOG = Catalog.build(np.array([0, 0, 1, 1]), SUBNORMAL)
+
+
+def test_ndcg_of_a_subnormal_row_is_exact():
+    below = RankedList(0, (2, 3, 0))
+    exact = exact_ndcg(SUBNORMAL.scores[0].tolist(), below.items, 3)
+    assert ndcg(SUBNORMAL, 0, below, 3) == float(exact) == 0.9197207891481876
+    assert ndcg(SUBNORMAL, 0, RankedList(0, (2, 0, 1)), 3) == 1.0
+
+
+def test_subnormal_row_meets_the_floor_offline_and_online():
+    config = RunConfig(k=3, notion=UF, threshold=1.0)
+    lists, _, report = fairsort_offline(SUBNORMAL, SUBNORMAL_CATALOG, config)
+    assert lists[0].items == (0, 2, 1) and report.per_user[0] == 1.0
+    state = OnlineState.fresh(SUBNORMAL_CATALOG, UF)
+    for user in (0, 1, 0, 0, 1):
+        served, state = fairsort_online_step(state, SUBNORMAL, SUBNORMAL_CATALOG, user, config)
+        assert exact_ndcg(SUBNORMAL.scores[user].tolist(), served.items, 3) == 1
+    assert [value for _, value in state.ndcg_log] == [1.0] * 5
+
+
+# scores on every scale the matrix accepts: zero, subnormal, tied, huge
+HOSTILE_SCORES = st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0, 1e300])
+
+
+@st.composite
+def hostile_runs(draw):
+    n_items = draw(st.integers(2, 6))
+    n_users = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(HOSTILE_SCORES, min_size=n_items, max_size=n_items),
+                         min_size=n_users, max_size=n_users))
+    if draw(st.booleans()):
+        rows[0] = [0.0] * n_items
+    n_providers = draw(st.integers(1, min(3, n_items)))
+    provider_of = draw(st.permutations([i % n_providers for i in range(n_items)]))
+    ratio = draw(st.sampled_from([1.0, 0.5]))
+    k = draw(st.integers(1, math.ceil(n_items * ratio)))
+    threshold = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    trace = draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=6))
+    return rows, provider_of, RunConfig(k=k, notion=UF, threshold=threshold, ratio=ratio), trace
+
+
+def assert_served_exactly(matrix, user, served, value, config):
+    # the logged NDCG is the package's own, and the exact one clears the floor
+    exact = exact_ndcg(matrix.scores[user].tolist(), served.items, config.k)
+    assert value == ndcg(matrix, user, served, config.k)
+    assert abs(value - float(exact)) <= 1e-12
+    assert exact >= config.threshold - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_runs())
+def test_whole_uf_runs_meet_the_floor_on_every_score_scale(run):
+    rows, provider_of, config, trace = run
+    matrix = PreferenceMatrix(np.array(rows))
+    catalog = Catalog.build(np.array(provider_of), matrix)
+    lists, ledger, report = fairsort_offline(matrix, catalog, config)
+    for user, served in lists.items():
+        assert_served_exactly(matrix, user, served, report.per_user[user], config)
+    budget = total_exposure(matrix.n_users, config.k)
+    assert abs(ledger.exposure.sum() - budget) <= 1e-12 * budget
+    state = OnlineState.fresh(catalog, UF)
+    for user in trace:
+        served, state = fairsort_online_step(state, matrix, catalog, user, config)
+        assert_served_exactly(matrix, user, served, state.ndcg_log[-1][1], config)
+        budget = state.ledger.budget
+        assert abs(state.ledger.exposure.sum() - budget) <= 1e-12 * budget
