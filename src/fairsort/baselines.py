@@ -12,9 +12,8 @@ import numpy as np
 from .catalog import (
     PreferenceMatrix,
     RankedList,
-    _check_depth,
     _ideal_top,
-    _smallest_k,
+    _smallest_k_at,
     _user_row,
     original_ranking,
 )
@@ -39,7 +38,7 @@ def mixed_k(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     ranking = _ideal_top(row, matrix.n_items)
     rng = np.random.default_rng(seed)
     tail = rng.choice(ranking[head_len:], size=k - head_len, replace=False)
-    return RankedList(user, tuple(ranking[:head_len].tolist() + tail.tolist()))
+    return RankedList._trusted(user, tuple(ranking[:head_len].tolist() + tail.tolist()))
 
 
 def all_random(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
@@ -47,18 +46,25 @@ def all_random(matrix: PreferenceMatrix, user: int, k: int, seed) -> RankedList:
     _user_row(matrix, user, k)  # checks the user and k
     rng = np.random.default_rng(seed)
     picks = rng.choice(matrix.n_items, size=k, replace=False)
-    return RankedList(user, tuple(int(i) for i in picks))
+    return RankedList._trusted(user, tuple(picks.tolist()))
 
 
-def min_exposure(exposure: np.ndarray, user: int, k: int) -> RankedList:
+def min_exposure(matrix: PreferenceMatrix, user: int, k: int, exposure: np.ndarray) -> RankedList:
     """Fill each slot with the least-exposed item so far, ties by item id.
 
-    ``exposure`` holds each item's accumulated exposure and is updated in
-    place.  Exposure is frozen while a list is being built and credited per
-    slot weight once it is complete, so the list is simply the k smallest
-    entries of ``exposure``.
+    ``exposure`` holds each of the matrix's items' accumulated exposure and
+    is updated in place; the scores themselves are never read.  Exposure is
+    frozen while a list is being built and credited per slot weight once it
+    is complete, so the list is simply the k smallest entries of
+    ``exposure``.
     """
-    _check_depth(k, exposure.size)
-    items = _smallest_k(exposure, np.arange(exposure.size), k)
+    _user_row(matrix, user, k)  # checks the user and k
+    if exposure.size != matrix.n_items:
+        raise ValueError(
+            f"exposure has {exposure.size} entries but the preference matrix has "
+            f"{matrix.n_items} items"
+        )
+    # each item's position in exposure is its id
+    items = _smallest_k_at(exposure, None, k)
     exposure[items] += _slot_weights(k)
-    return RankedList(user, tuple(items.tolist()))
+    return RankedList._trusted(user, tuple(items.tolist()))

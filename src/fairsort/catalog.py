@@ -138,6 +138,19 @@ class RankedList:
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "user", user)
 
+    @classmethod
+    def _trusted(cls, user: int, items: tuple[int, ...]) -> "RankedList":
+        """A list the package built from its own selection, which is not re-checked.
+
+        ``items`` must already be a tuple of distinct Python ints >= 0, as
+        ids drawn by a selection or a draw without replacement are, and
+        ``user`` a checked user id.
+        """
+        rlist = object.__new__(cls)
+        object.__setattr__(rlist, "user", operator.index(user))
+        object.__setattr__(rlist, "items", items)
+        return rlist
+
     def __len__(self) -> int:
         return len(self.items)
 
@@ -346,18 +359,24 @@ def _scan_scores(matrix_path: Path, n_items: int) -> np.ndarray:
 _SORT_PER_SLOT = 4
 
 
-def _smallest_k_at(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+def _smallest_k_at(key: np.ndarray, ids: np.ndarray | None, k: int) -> np.ndarray:
     """Positions of the ``k`` smallest keys, ordered by key, ties by ascending id.
 
-    Only the positions whose key is at most the k-th smallest can make the
-    cut, so only they are sorted; a set of few keys per slot is sorted
-    outright.  For finite keys this equals the first ``k`` of a full
+    ``ids`` of ``None`` means each position is its own id; a stable sort
+    then breaks ties by position, with no id array to build.  Only the
+    positions whose key is at most the k-th smallest can make the cut, so
+    only they are sorted; a set of few keys per slot is sorted outright.
+    For finite keys this equals the first ``k`` of a full
     ``np.lexsort((ids, key))``.
     """
     if key.size <= _SORT_PER_SLOT * k:
+        if ids is None:
+            return np.argsort(key, kind="stable")[:k]
         return np.lexsort((ids, key))[:k]
     cut = np.partition(key, k - 1)[k - 1]
-    near = np.flatnonzero(key <= cut)
+    near = (key <= cut).nonzero()[0]
+    if ids is None:
+        return near[np.argsort(key[near], kind="stable")[:k]]
     return near[np.lexsort((ids[near], key[near]))[:k]]
 
 
@@ -380,7 +399,7 @@ def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 
 def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
     """The first ``k`` item ids of a score row's ranking."""
-    return _smallest_k(-row, np.arange(row.size), k)
+    return _smallest_k_at(-row, None, k)
 
 
 def _check_depth(depth: int, n_items: int) -> None:
@@ -407,7 +426,8 @@ def original_ranking(matrix: PreferenceMatrix, user: int, depth: int | None = No
     """
     if depth is None:
         depth = matrix.n_items
-    return RankedList(user, tuple(_ideal_top(_user_row(matrix, user, depth), depth).tolist()))
+    top = _ideal_top(_user_row(matrix, user, depth), depth)
+    return RankedList._trusted(user, tuple(top.tolist()))
 
 
 def _allocate_sizes(n_items: int, weights: np.ndarray) -> np.ndarray:

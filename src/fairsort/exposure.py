@@ -43,13 +43,19 @@ def _slot_weights(k: int) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=None)
+def _list_exposure(k: int) -> float:
+    """Exposure of one list of depth ``k``: its slot weights' sum."""
+    return float(_slot_weights(k).sum())
+
+
 def total_exposure(list_count: int, k: int) -> float:
     """Exposure budget of ``list_count`` lists of depth ``k``."""
     if list_count < 0:
         raise ValueError("list_count must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(list_count * _slot_weights(k).sum())
+    return float(list_count * _list_exposure(k))
 
 
 def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
@@ -137,7 +143,8 @@ class ExposureLedger:
                 f"retract drove provider {int(self.exposure.argmin())} exposure "
                 f"to {low}; list was never applied"
             )
-        np.clip(self.exposure, 0.0, None, out=self.exposure)
+        # clip at 0; with no NaN in exposure, np.maximum gives the same bits
+        np.maximum(self.exposure, 0.0, out=self.exposure)
         return self
 
     def snapshot_lines(self) -> list[str]:

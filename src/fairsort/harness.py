@@ -235,7 +235,7 @@ def _baseline_policy(model: str, k: int, matrix: PreferenceMatrix):
         "top_k": lambda user, seed: baselines.top_k(matrix, user, k),
         "mixed_k": lambda user, seed: baselines.mixed_k(matrix, user, k, seed),
         "all_random": lambda user, seed: baselines.all_random(matrix, user, k, seed),
-        "min_exposure": lambda user, seed: baselines.min_exposure(exposure, user, k),
+        "min_exposure": lambda user, seed: baselines.min_exposure(matrix, user, k, exposure),
     }
     if model not in policies:
         raise ConfigError(f"unknown model {model!r}")

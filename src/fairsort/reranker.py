@@ -27,6 +27,7 @@ from .catalog import (
     _smallest_k,
     _smallest_k_at,
     _smallest_k_seeded,
+    _user_row,
     original_ranking,
 )
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
@@ -130,7 +131,7 @@ def candidate_pool(
         return _CATALOG
     if size > len(ranking):
         raise ValueError(f"ranking of {len(ranking)} items cannot hold a pool of {size}")
-    return RankedList(ranking.user, ranking.items[:size])
+    return RankedList._trusted(ranking.user, ranking.items[:size])
 
 
 def _pool_arrays(
@@ -141,14 +142,14 @@ def _pool_arrays(
     k: int,
     catalog: Catalog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pool's ids, scores and lifts."""
+    """The pool's ids, scores and lifts, once the user and ``k`` are checked."""
+    row = _user_row(matrix, user, k)
     if pool is _CATALOG:
-        ids = np.arange(matrix.n_items)
-        return ids, matrix.scores[user], lifts.by_provider[catalog.provider_of]
+        return np.arange(matrix.n_items), row, lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
     ids = _list_ids(pool, len(pool), matrix.n_items)
-    return ids, matrix.scores[user, ids], lifts.by_provider[catalog.provider_of[ids]]
+    return ids, row[ids], lifts.by_provider[catalog.provider_of[ids]]
 
 
 def rerank_with_lambda(
@@ -170,7 +171,8 @@ def rerank_with_lambda(
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    return RankedList(user, tuple(_smallest_k(-(scores + lam * item_lifts), ids, k).tolist()))
+    top = _smallest_k(-(scores + lam * item_lifts), ids, k)
+    return RankedList._trusted(user, tuple(top.tolist()))
 
 
 def binary_search_lambda(
@@ -228,14 +230,18 @@ def binary_search_lambda_traced(
     # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
     # zero, which no comparison sees
     neg_scores, neg_lifts = -scores, -item_lifts
-    head_at = _smallest_k_at(neg_scores, ids, k)
-    head = ids[head_at]
-    if pool is not _CATALOG and not np.array_equal(head, _ideal_top(matrix.scores[user], k)):
-        raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
+    if pool is _CATALOG:
+        head_at = _smallest_k_at(neg_scores, ids, k)
+    else:
+        # any k positions bound the head's keys; a ranked prefix's first k
+        # are the head itself, so they leave no other item to select among
+        head_at = _smallest_k_seeded(neg_scores, ids, k, np.arange(k))
+        if not np.array_equal(ids[head_at], _ideal_top(matrix.scores[user], k)):
+            raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the head is the user's own top k, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
-        return 0.0, RankedList(user, tuple(head.tolist())), 1.0, 0
+        return 0.0, RankedList._trusted(user, tuple(ids[head_at].tolist())), 1.0, 0
 
     # the head is the user's own top k, so this is the ideal DCG
     gains = np.ldexp(scores, _unit_scale(scores[head_at[0]]))
@@ -268,7 +274,8 @@ def binary_search_lambda_traced(
                     break
         else:
             hi = mid
-    return best_lam, RankedList(user, tuple(ids[best_at].tolist())), best_value, evaluations
+    served = RankedList._trusted(user, tuple(ids[best_at].tolist()))
+    return best_lam, served, best_value, evaluations
 
 
 def _serve(
@@ -301,7 +308,7 @@ def _serve(
         providers = catalog.provider_of[np.asarray(pool.items, dtype=np.int64)]
         one_provider = (providers == providers[0]).all()
     if one_provider:
-        served, value = RankedList(ranking.user, ranking.items[: config.k]), 1.0
+        served, value = RankedList._trusted(ranking.user, ranking.items[: config.k]), 1.0
     else:
         lifts = normalize_lifts(err_rates(ledger))
         _, served, value = binary_search_lambda(

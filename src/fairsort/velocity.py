@@ -37,11 +37,36 @@ def err_rates(ledger: ExposureLedger) -> np.ndarray:
     The size is the ledger notion's, on the ledger's catalog: item count
     under uniform fairness, quality mass under quality-weighted fairness.  A
     provider of zero size, which only a zero quality mass can give, has a
-    zero target and an error rate pinned to 0.
+    zero target and an error rate pinned to 0.  Only a size below 1 can
+    make a finite deficit's rate overflow; where a sign group's rates or
+    their sum do, that group alone is scaled down by a power of two, a
+    common factor that :func:`normalize_lifts` cancels.
     """
     sizes = _provider_sizes(ledger.catalog, ledger.notion)
     deficit = ledger.target - ledger.exposure
-    return np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
+    if sizes.min() >= 1.0:
+        # no size is 0, and none is small enough for a finite deficit to overflow
+        return deficit / sizes
+    with np.errstate(over="ignore"):
+        err = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
+        for group in (err > 0, err < 0):
+            # a rate or the group's sum overflows
+            if not np.isfinite(err[group].sum()):
+                err[group] = _scaled_rates(deficit[group], sizes[group])
+    return err
+
+
+def _scaled_rates(deficit: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``deficit / sizes`` scaled by one power of two, each quotient below 2 in size.
+
+    With ``d = md * 2**ed`` and ``s = ms * 2**es`` (mantissas in [0.5, 1)),
+    ``d / s = (md / ms) * 2**(ed - es)``; the mantissa quotient is rounded as
+    the full one would be, and only the exponents are shifted.
+    """
+    md, ed = np.frexp(deficit)
+    ms, es = np.frexp(sizes)
+    shift = ed - es
+    return np.ldexp(md / ms, shift - shift.max())
 
 
 def normalize_lifts(err: np.ndarray) -> LiftAssignment:

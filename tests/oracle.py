@@ -67,6 +67,19 @@ def exact_ndcg(row: Sequence[float], items: Sequence[int], k: int) -> Fraction:
     return Fraction(1) if ideal == 0 else exact_dcg(items) / ideal
 
 
+def exact_lifts(deficit: Sequence[float], sizes: Sequence[float]) -> list[Fraction]:
+    """Normalized lifts in exact rational arithmetic over float deficits and sizes.
+
+    A provider of zero size has rate 0; each sign group of the rates
+    ``deficit / size`` is divided by its absolute sum, so no rate can
+    overflow and no group's scale is lost.
+    """
+    rates = [Fraction(d) / Fraction(s) if s > 0 else Fraction(0) for d, s in zip(deficit, sizes)]
+    positive = sum(r for r in rates if r > 0)
+    negative = -sum(r for r in rates if r < 0)
+    return [r / positive if r > 0 else r / negative if r < 0 else Fraction(0) for r in rates]
+
+
 def probe_bound(config) -> int:
     """Most probes a search may evaluate.
 

@@ -70,18 +70,20 @@ def test_all_random_is_uniform_over_items():
 
 
 def test_min_exposure_trace():
+    matrix = PreferenceMatrix(np.zeros((1, 3)))
     exposure = np.zeros(3)
-    first = min_exposure(exposure, 0, 2)
+    first = min_exposure(matrix, 0, 2, exposure)
     assert first.items == (0, 1)
     assert exposure.tolist() == pytest.approx([1.0, 1.0 / np.log2(3), 0.0], abs=1e-9)
-    second = min_exposure(exposure, 0, 1)
+    second = min_exposure(matrix, 0, 1, exposure)
     assert second.items == (2,)
 
 
 def test_min_exposure_equalizes_items_over_many_lists():
+    matrix = PreferenceMatrix(np.ones((30, 12)))
     exposure = np.zeros(12)
     for user in range(30):
-        min_exposure(exposure, user, 4)
+        min_exposure(matrix, user, 4, exposure)
     spread = exposure.max() - exposure.min()
     assert spread <= 1.0  # bounded by the weight of the first slot
 
@@ -95,4 +97,14 @@ def test_baselines_reject_oversized_k(dataset):
     with pytest.raises(ValueError):
         all_random(matrix, 0, matrix.n_items + 1, seed=0)
     with pytest.raises(ValueError):
-        min_exposure(np.zeros(4), 0, 5)
+        min_exposure(matrix, 0, matrix.n_items + 1, np.zeros(matrix.n_items))
+
+
+def test_min_exposure_rejects_a_user_past_the_last_and_a_foreign_exposure(dataset):
+    matrix, _ = dataset
+    with pytest.raises(ValueError, match="user 10 out of range"):
+        min_exposure(matrix, 10, 3, np.zeros(matrix.n_items))
+    exposure = np.zeros(matrix.n_items + 1)
+    with pytest.raises(ValueError, match="exposure has 21 entries .* has 20 items"):
+        min_exposure(matrix, 0, 3, exposure)
+    assert not exposure.any()

@@ -26,7 +26,7 @@ from fairsort import (
     rerank_with_lambda,
     top_k,
 )
-from fairsort.catalog import _ideal_top, _smallest_k, _smallest_k_seeded
+from fairsort.catalog import _ideal_top, _smallest_k, _smallest_k_at, _smallest_k_seeded
 
 from oracle import naive_dcg, naive_ndcg
 
@@ -88,7 +88,9 @@ BAD_CALLS = [
     ("top_k-k0", lambda: top_k(SMALL, 0, 0), "depth 0"),
     ("mixed_k-k0", lambda: mixed_k(SMALL, 0, 0, 0), "depth 0"),
     ("all_random-k0", lambda: all_random(SMALL, 0, 0, 0), "depth 0"),
-    ("min_exposure-k0", lambda: min_exposure(np.zeros(10), 0, 0), "depth 0"),
+    ("min_exposure-user-past-last",
+     lambda: min_exposure(SMALL, 99, 3, np.zeros(10)), "user 99 out of range"),
+    ("min_exposure-k0", lambda: min_exposure(SMALL, 0, 0, np.zeros(10)), "depth 0"),
     ("ideal_dcg-k0", lambda: ideal_dcg(SMALL, 0, 0), "depth 0"),
     ("ndcg-k0", lambda: ndcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
     ("dcg-k0", lambda: dcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
@@ -207,3 +209,14 @@ def test_smallest_k_matches_full_sort(pool):
         assert np.array_equal(ids[_smallest_k_seeded(key, ids, k, at)], expected)
     expected_top = np.argsort(-row, kind="stable")[:k]
     assert np.array_equal(_ideal_top(row, k), expected_top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_pools())
+def test_positions_as_ids_select_as_an_id_array_does(pool):
+    # tied and all-zero rows; k up to the row's length covers both the
+    # outright sort and the partition
+    row, key, _, k, _ = pool
+    positions = np.arange(row.size)
+    for keys in (-row, key):
+        assert np.array_equal(_smallest_k_at(keys, None, k), _smallest_k(keys, positions, k))

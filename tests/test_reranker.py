@@ -28,6 +28,9 @@ from fairsort import (
     original_ranking,
     rerank_with_lambda,
     reranker,
+    all_random,
+    min_exposure,
+    mixed_k,
     top_k,
     total_exposure,
 )
@@ -38,6 +41,7 @@ from conftest import make_search_instance
 from oracle import exact_ndcg, grid_lambda_profile, naive_ndcg, probe_bound
 
 UF = FairnessNotion.UNIFORM
+QF = FairnessNotion.QUALITY_WEIGHTED
 
 
 def three_item_instance():
@@ -789,8 +793,10 @@ def hostile_runs(draw):
     ratio = draw(st.sampled_from([1.0, 0.5]))
     k = draw(st.integers(1, math.ceil(n_items * ratio)))
     threshold = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    notion = draw(st.sampled_from([UF, QF]))
     trace = draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=6))
-    return rows, provider_of, RunConfig(k=k, notion=UF, threshold=threshold, ratio=ratio), trace
+    config = RunConfig(k=k, notion=notion, threshold=threshold, ratio=ratio)
+    return rows, provider_of, config, trace
 
 
 def assert_served_exactly(matrix, user, served, value, config):
@@ -803,18 +809,103 @@ def assert_served_exactly(matrix, user, served, value, config):
 
 @settings(max_examples=300, deadline=None)
 @given(hostile_runs())
-def test_whole_uf_runs_meet_the_floor_on_every_score_scale(run):
+def test_whole_runs_meet_the_floor_on_every_score_scale(run):
     rows, provider_of, config, trace = run
     matrix = PreferenceMatrix(np.array(rows))
     catalog = Catalog.build(np.array(provider_of), matrix)
+    if config.notion is QF and not catalog.quality_mass.any():
+        for run_from_nothing in (lambda: fairsort_offline(matrix, catalog, config),
+                                 lambda: OnlineState.fresh(catalog, QF)):
+            with pytest.raises(ValueError, match="need positive total quality mass"):
+                run_from_nothing()
+        return
     lists, ledger, report = fairsort_offline(matrix, catalog, config)
     for user, served in lists.items():
         assert_served_exactly(matrix, user, served, report.per_user[user], config)
     budget = total_exposure(matrix.n_users, config.k)
     assert abs(ledger.exposure.sum() - budget) <= 1e-12 * budget
-    state = OnlineState.fresh(catalog, UF)
+    state = OnlineState.fresh(catalog, config.notion)
     for user in trace:
         served, state = fairsort_online_step(state, matrix, catalog, user, config)
         assert_served_exactly(matrix, user, served, state.ndcg_log[-1][1], config)
         budget = state.ledger.budget
         assert abs(state.ledger.exposure.sum() - budget) <= 1e-12 * budget
+
+
+# provider 0's quality mass is the smallest subnormal, so its deficit over
+# its mass overflows; the same run always passed under uf
+TINY_MASS = PreferenceMatrix(np.array([[5e-324, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.25]]))
+TINY_MASS_CATALOG = Catalog.build(np.array([0, 1, 1, 2]), TINY_MASS)
+
+
+def test_qf_run_on_a_subnormal_quality_mass_completes():
+    config = RunConfig(k=2, notion=QF)
+    lists, ledger, report = fairsort_offline(TINY_MASS, TINY_MASS_CATALOG, config)
+    for user, served in lists.items():
+        assert_served_exactly(TINY_MASS, user, served, report.per_user[user], config)
+    assert ledger.exposure.sum() == pytest.approx(total_exposure(2, 2), rel=1e-12)
+    state = OnlineState.fresh(TINY_MASS_CATALOG, QF)
+    for user in (0, 1, 1, 0, 1):
+        served, state = fairsort_online_step(state, TINY_MASS, TINY_MASS_CATALOG, user, config)
+        assert_served_exactly(TINY_MASS, user, served, state.ndcg_log[-1][1], config)
+        assert state.ledger.exposure.sum() == pytest.approx(state.ledger.budget, rel=1e-12)
+
+
+@st.composite
+def tied_catalogs(draw):
+    n_items = draw(st.integers(1, 6))
+    n_users = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n_items, max_size=n_items),
+        min_size=n_users, max_size=n_users))
+    n_providers = draw(st.integers(1, min(3, n_items)))
+    provider_of = draw(st.permutations([i % n_providers for i in range(n_items)]))
+    lifts = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                          min_size=n_providers, max_size=n_providers))
+    matrix = PreferenceMatrix(np.array(rows))
+    return matrix, Catalog.build(np.array(provider_of), matrix), LiftAssignment(np.array(lifts))
+
+
+def lists_the_package_builds(matrix, catalog, lifts, user):
+    n = matrix.n_items
+    full = original_ranking(matrix, user)
+    for k in range(1, n + 1):
+        yield from (original_ranking(matrix, user, k), top_k(matrix, user, k),
+                    mixed_k(matrix, user, k, seed=k), all_random(matrix, user, k, seed=k),
+                    min_exposure(matrix, user, k, np.zeros(n)))
+        for ratio in (1.0, 0.5):
+            config = RunConfig(k=k, notion=UF, ratio=ratio)
+            if math.ceil(n * ratio) < k:
+                continue
+            # a prefix of the full ranking; at ratio 1, also the whole
+            # catalog as a top-k ranking's pool
+            pools = [candidate_pool(full, ratio, k)]
+            if ratio == 1.0:
+                pools.append(candidate_pool(original_ranking(matrix, user, k), 1.0, k, n_items=n))
+            for pool in pools:
+                if isinstance(pool, RankedList):
+                    yield pool
+                yield binary_search_lambda_traced(matrix, user, pool, lifts, config, catalog)[1]
+                yield rerank_with_lambda(matrix, user, pool, lifts, 1.0, k, catalog)
+            # the serve path, with its one-provider list when the pool has one provider
+            yield from fairsort_offline(matrix, catalog, config)[0].values()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_catalogs(), st.data())
+def test_lists_the_package_builds_equal_checked_lists(instance, data):
+    matrix, catalog, lifts = instance
+    user = data.draw(st.integers(0, matrix.n_users - 1))
+    for built in lists_the_package_builds(matrix, catalog, lifts, user):
+        checked = RankedList(built.user, built.items)
+        assert built == checked and hash(built) == hash(checked)
+        assert type(built.user) is int and type(built.items) is tuple
+        assert all(type(item) is int for item in built.items)
+
+
+def test_a_built_list_is_still_checked_against_a_smaller_catalog():
+    matrix, _ = generate_synthetic(2, 10, 2, 1.0, seed=0)
+    ranking = original_ranking(matrix, 0)
+    ledger = ExposureLedger(1.0, Catalog(np.array([0, 0, 1, 1]), np.ones(2)), UF)
+    with pytest.raises(ValueError, match="user 0 holds item .*, outside the catalog of 4 items"):
+        ledger.apply(ranking, 10)

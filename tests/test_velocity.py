@@ -1,5 +1,7 @@
 """Exposure error rates and sign-group lift normalization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from fairsort import (
     err_rates,
     normalize_lifts,
 )
+
+from oracle import exact_lifts
 
 UF = FairnessNotion.UNIFORM
 QF = FairnessNotion.QUALITY_WEIGHTED
@@ -71,6 +75,59 @@ def test_err_rates_uniform_equals_the_masked_division(item_count, budget, data):
     rates = err_rates(ledger)
     assert rates.dtype == masked.dtype
     assert rates.tobytes() == masked.tobytes()
+
+
+# some quality masses below 1, one of them zero: the masked division's path
+QF_MASSES = st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 3.0, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(QF_MASSES, min_size=1, max_size=6), st.floats(0.0, 1e6), st.data())
+def test_err_rates_equal_the_masked_division_wherever_it_is_finite(masses, budget, data):
+    if sum(masses) == 0:
+        masses[0] = 1.0
+    catalog = catalog_with_masses([1] * len(masses), masses)
+    ledger = ExposureLedger(budget, catalog, QF)
+    ledger.exposure = np.array(data.draw(st.lists(
+        st.floats(0.0, 2e6), min_size=len(masses), max_size=len(masses))))
+    deficit = ledger.target - ledger.exposure
+    sizes = catalog.quality_mass
+    with np.errstate(over="ignore"):
+        masked = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
+    rates = err_rates(ledger)
+    assert np.all(np.isfinite(rates))
+    for group in (masked > 0, masked < 0):
+        if np.isfinite(masked[group].sum()):
+            assert rates[group].tobytes() == masked[group].tobytes()
+    lifts = normalize_lifts(rates).by_provider
+    exact = exact_lifts(deficit.tolist(), sizes.tolist())
+    exact_rates = [Fraction(d) / Fraction(s) if s > 0 else Fraction(0)
+                   for d, s in zip(deficit.tolist(), sizes.tolist())]
+    for sign in (1, -1):
+        group = [i for i, rate in enumerate(exact_rates) if sign * rate > 0]
+        # a group whose rates all fall below the normal floats underflows
+        # (a tiny deficit over a huge mass), which this rescale leaves open
+        if group and max(abs(exact_rates[i]) for i in group) >= Fraction(2.0**-1022):
+            for i in group:
+                assert abs(lifts[i] - float(exact[i])) <= 1e-12
+
+
+@pytest.mark.parametrize("deficit_to, masses, lifts", [
+    # the subnormal provider is over-exposed: one shared rescale would
+    # underflow provider 1's boost away and read [-1, 0, 0]
+    ([-1.0, 2.0, -1.0], [5e-324, 10.0, 20.0], [-1.0, 1.0, 0.0]),
+    # the subnormal provider is under-exposed, the others over-exposed
+    ([1.0, -2.0, 1.0], [5e-324, 10.0, 20.0], [1.0, -1.0, 0.0]),
+])
+def test_overflowing_rates_give_the_exact_lifts(deficit_to, masses, lifts):
+    catalog = catalog_with_masses([1, 1, 1], masses)
+    ledger = ExposureLedger(30.0, catalog, QF)
+    ledger.exposure = ledger.target - np.array(deficit_to)
+    deficit = ledger.target - ledger.exposure
+    got = normalize_lifts(err_rates(ledger)).by_provider
+    exact = exact_lifts(deficit.tolist(), masses)
+    assert np.allclose(got, [float(x) for x in exact], rtol=0, atol=1e-12)
+    assert np.allclose(got, lifts, rtol=0, atol=1e-12)
 
 
 def test_normalize_lifts_two_sided_example():
