@@ -65,6 +65,6 @@ def min_exposure(matrix: PreferenceMatrix, user: int, k: int, exposure: np.ndarr
             f"{matrix.n_items} items"
         )
     # each item's position in exposure is its id
-    items = _smallest_k_at(exposure, None, k)
+    items = _smallest_k_at(exposure, k)
     exposure[items] += _slot_weights(k)
     return RankedList._trusted(user, tuple(items.tolist()))

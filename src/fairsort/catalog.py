@@ -359,28 +359,24 @@ def _scan_scores(matrix_path: Path, n_items: int) -> np.ndarray:
 _SORT_PER_SLOT = 4
 
 
-def _smallest_k_at(key: np.ndarray, ids: np.ndarray | None, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest keys, ordered by key, ties by ascending id.
+def _smallest_k_at(key: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest keys, ordered by key, ties by ascending position.
 
-    ``ids`` of ``None`` means each position is its own id; a stable sort
-    then breaks ties by position, with no id array to build.  Only the
+    Every array the package selects from is laid out in ascending id order,
+    so a stable sort's tie rule is "ties by ascending id".  Only the
     positions whose key is at most the k-th smallest can make the cut, so
     only they are sorted; a set of few keys per slot is sorted outright.
-    For finite keys this equals the first ``k`` of a full
-    ``np.lexsort((ids, key))``.
+    For finite keys this equals the first ``k`` of a full stable sort.
     """
+    # the method form costs half the call overhead of np.argsort
     if key.size <= _SORT_PER_SLOT * k:
-        if ids is None:
-            return np.argsort(key, kind="stable")[:k]
-        return np.lexsort((ids, key))[:k]
+        return key.argsort(kind="stable")[:k]
     cut = np.partition(key, k - 1)[k - 1]
     near = (key <= cut).nonzero()[0]
-    if ids is None:
-        return near[np.argsort(key[near], kind="stable")[:k]]
-    return near[np.lexsort((ids[near], key[near]))[:k]]
+    return near[key[near].argsort(kind="stable")[:k]]
 
 
-def _smallest_k_seeded(key: np.ndarray, ids: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
+def _smallest_k_seeded(key: np.ndarray, k: int, seed: np.ndarray) -> np.ndarray:
     """As :func:`_smallest_k_at`, given the positions ``seed`` of any k distinct keys.
 
     Any k keys bound the k-th smallest from above, so only the positions
@@ -389,17 +385,12 @@ def _smallest_k_seeded(key: np.ndarray, ids: np.ndarray, k: int, seed: np.ndarra
     """
     # max over a list: a numpy reduction over k items costs twice as much
     near = (key <= max(key[seed].tolist())).nonzero()[0]
-    return near[_smallest_k_at(key[near], ids[near], k)]
-
-
-def _smallest_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """The ``ids`` of the ``k`` smallest keys, ordered by key, ties by ascending id."""
-    return ids[_smallest_k_at(key, ids, k)]
+    return near[_smallest_k_at(key[near], k)]
 
 
 def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
     """The first ``k`` item ids of a score row's ranking."""
-    return _smallest_k_at(-row, None, k)
+    return _smallest_k_at(-row, k)
 
 
 def _check_depth(depth: int, n_items: int) -> None:
@@ -438,7 +429,7 @@ def _allocate_sizes(n_items: int, weights: np.ndarray) -> np.ndarray:
     if deficit > 0:
         remainders = raw - np.floor(raw)
         # lower provider id wins remainder ties
-        order = np.lexsort((np.arange(weights.size), -remainders))
+        order = (-remainders).argsort(kind="stable")
         for idx in range(deficit):
             sizes[order[idx % weights.size]] += 1
     while sizes.sum() > n_items:

@@ -102,10 +102,14 @@ class ExposureLedger:
     def __post_init__(self) -> None:
         self.budget = _checked_budget(self.budget)
         sizes = _provider_sizes(self.catalog, self.notion)
-        total = sizes.sum()
-        # every provider owns an item, so only quality mass can total zero
-        if total <= 0:
-            raise ValueError("quality-weighted targets need positive total quality mass")
+        # every provider owns an item, so only quality mass can total zero;
+        # finite masses can still sum past the largest float
+        with np.errstate(over="ignore"):
+            total = sizes.sum()
+        if not 0 < total < math.inf:
+            raise ValueError(
+                f"quality-weighted targets need positive total quality mass, not {total}"
+            )
         self.shares = sizes / total
         self.exposure = np.zeros(self.catalog.n_providers, dtype=np.float64)
         summed = self.target.sum()

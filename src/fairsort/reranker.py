@@ -24,7 +24,6 @@ from .catalog import (
     RankedList,
     _ideal_top,
     _list_ids,
-    _smallest_k,
     _smallest_k_at,
     _smallest_k_seeded,
     _user_row,
@@ -36,6 +35,11 @@ from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
 _POOL_EPS = 1e-9
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool counts as none."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class RunConfig:
     exposure_update: str = "replace"
 
     def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+        if not _is_int(self.k):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -142,13 +146,13 @@ def _pool_arrays(
     k: int,
     catalog: Catalog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pool's ids, scores and lifts, once the user and ``k`` are checked."""
+    """The pool's ascending ids, scores and lifts, once the user and ``k`` are checked."""
     row = _user_row(matrix, user, k)
     if pool is _CATALOG:
         return np.arange(matrix.n_items), row, lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
-    ids = _list_ids(pool, len(pool), matrix.n_items)
+    ids = np.sort(_list_ids(pool, len(pool), matrix.n_items))
     return ids, row[ids], lifts.by_provider[catalog.provider_of[ids]]
 
 
@@ -171,8 +175,8 @@ def rerank_with_lambda(
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    top = _smallest_k(-(scores + lam * item_lifts), ids, k)
-    return RankedList._trusted(user, tuple(top.tolist()))
+    top_at = _smallest_k_at(-(scores + lam * item_lifts), k)
+    return RankedList._trusted(user, tuple(ids[top_at].tolist()))
 
 
 def binary_search_lambda(
@@ -200,10 +204,11 @@ def binary_search_lambda_traced(
 ) -> tuple[float, RankedList, float, int]:
     """As :func:`binary_search_lambda`, also reporting the evaluation count.
 
-    ``pool`` is read as a set, since ties in the lifted score break by id.
-    Its head, its own top k at weight 0, must be ``_ideal_top(row, k)``,
-    the user's own top k, or ``ValueError`` is raised; the whole catalog's
-    always is.  The head scores NDCG 1, so weight 0 always clears the floor.
+    ``pool`` is read as a set and laid out in id order, so a stable sort
+    by position breaks ties in the lifted score by id.  It must hold
+    ``_ideal_top(row, k)``, the user's own top k, or ``ValueError`` is
+    raised; the pool's head, its own top k at weight 0, is then that top k.
+    The head scores NDCG 1, so weight 0 always clears the floor.
     NDCG is taken on the scores scaled by :func:`_unit_scale` of the user's
     top score.  Bisection keeps the invariant NDCG(lo) >= threshold and
     stops once hi - lo <= gap, returning the largest probed weight that
@@ -230,18 +235,16 @@ def binary_search_lambda_traced(
     # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
     # zero, which no comparison sees
     neg_scores, neg_lifts = -scores, -item_lifts
-    if pool is _CATALOG:
-        head_at = _smallest_k_at(neg_scores, ids, k)
-    else:
-        # any k positions bound the head's keys; a ranked prefix's first k
-        # are the head itself, so they leave no other item to select among
-        head_at = _smallest_k_seeded(neg_scores, ids, k, np.arange(k))
-        if not np.array_equal(ids[head_at], _ideal_top(matrix.scores[user], k)):
-            raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
+    # each of the user's top ids must sit at its sorted place in the pool;
+    # one past all the pool's ids clips to the last, a smaller id, and fails
+    top = _ideal_top(matrix.scores[user], k)
+    head_at = np.searchsorted(ids, top)
+    if not np.array_equal(ids.take(head_at, mode="clip"), top):
+        raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the head is the user's own top k, so its NDCG is exactly 1
     if np.all(item_lifts == item_lifts[0]):
-        return 0.0, RankedList._trusted(user, tuple(ids[head_at].tolist())), 1.0, 0
+        return 0.0, RankedList._trusted(user, tuple(top.tolist())), 1.0, 0
 
     # the head is the user's own top k, so this is the ideal DCG
     gains = np.ldexp(scores, _unit_scale(scores[head_at[0]]))
@@ -250,7 +253,7 @@ def binary_search_lambda_traced(
     def evaluate(lam: float, seed: np.ndarray) -> tuple[np.ndarray, float]:
         # the top k at lam as pool positions, selected near the seed list's
         # keys, and its NDCG; consecutive probes' lists barely differ
-        top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, ids, k, seed)
+        top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, k, seed)
         return top_at, _normalized(_dcg(gains[top_at]), ideal)
 
     evaluations = 0
@@ -341,7 +344,7 @@ def fairsort_offline(
     m = matrix.n_users
     if order is None:
         order = list(range(m))
-    elif sorted(order) != list(range(m)):
+    elif not all(map(_is_int, order)) or sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all user ids")
     _check_sizes(matrix, catalog)
 

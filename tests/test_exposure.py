@@ -156,6 +156,15 @@ def test_ledger_rejects_a_budget_not_finite_and_non_negative(bad):
     assert np.array_equal(ledger.target, target)
 
 
+@pytest.mark.parametrize("budget", [0.0, 4.0])
+def test_qf_ledger_rejects_quality_masses_whose_total_overflows(budget):
+    # each mass is finite, but their sum is not: every share would read 0
+    catalog = Catalog(np.array([0, 1, 1]), np.array([1e308, 1e308]))
+    with pytest.raises(ValueError, match="need positive total quality mass, not inf"):
+        ExposureLedger(budget, catalog, QF)
+    assert ExposureLedger(budget, catalog, UF).target.tolist() == [budget / 3, 2 * budget / 3]
+
+
 def test_ledger_target_is_derived_and_read_only():
     _, catalog = small_catalog()
     ledger = ExposureLedger(budget=4.0, catalog=catalog, notion=QF)

@@ -220,6 +220,16 @@ def test_binary_search_rejects_pool_without_the_users_top_k():
             binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
 
 
+def test_binary_search_rejects_a_pool_whose_ids_all_lie_below_the_users_top():
+    # in the pool's id order, the user's top item 2 would sit past its end
+    matrix = PreferenceMatrix(np.array([[0.1, 0.5, 0.9]]))
+    catalog = Catalog.build(np.array([0, 1, 1]), matrix)
+    config = RunConfig(k=1, notion=UF, threshold=0.9)
+    lifts = LiftAssignment(by_provider=np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match="user 0 does not hold the user's own top 1"):
+        binary_search_lambda_traced(matrix, 0, RankedList(0, (0, 1)), lifts, config, catalog)
+
+
 @st.composite
 def whole_catalog_cases(draw):
     n = draw(st.integers(1, 12))
@@ -589,6 +599,12 @@ def test_offline_rejects_bad_order():
     matrix, catalog, config = offline_setup()
     with pytest.raises(ValueError):
         fairsort_offline(matrix, catalog, config, order=[0, 1])
+    # a bool or a float names no user, even where it equals one
+    for order in ([True, False], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="order must be a permutation of all user ids"):
+            fairsort_offline(*offline_setup(users=2), order=order)
+    lists, _, _ = fairsort_offline(*offline_setup(users=2), order=[np.int64(1), np.int64(0)])
+    assert sorted(lists) == [0, 1]
 
 
 def test_offline_custom_order_changes_nothing_about_guarantees():
