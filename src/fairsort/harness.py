@@ -99,6 +99,11 @@ class ExperimentSpec:
             raise ConfigError(f"k lists {repeated[0]} more than once")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        # numpy's generators take no negative seed, and a run that never draws
+        # would accept one only to fail in the scenario that does
+        for key, seed in (("seed", self.seed), ("data_seed", self.data_seed)):
+            if seed < 0:
+                raise ConfigError(f"{key} must be >= 0, got {seed}")
         if self.dataset not in ("synthetic", "files"):
             raise ConfigError("dataset must be 'synthetic' or 'files'")
         given = [path is not None for path in (self.matrix_path, self.provider_map_path)]
@@ -202,7 +207,11 @@ def _load(spec: ExperimentSpec) -> tuple[PreferenceMatrix, Catalog]:
 
 @dataclass
 class CellResult:
-    """One (model, scenario, K) run: raw lists plus derived numbers."""
+    """One (model, scenario, K) run: raw lists plus derived numbers.
+
+    A cell that scores no list (see :func:`_scores_lists`) has no NDCGs and
+    no report.
+    """
 
     lists: tuple[RankedList, ...]
     ledger: ExposureLedger
@@ -211,6 +220,8 @@ class CellResult:
     timeseries: list[dict] = field(default_factory=list)
 
     def report(self) -> metrics.MetricsReport:
+        if not self.request_ndcgs:
+            raise ValueError("a cell that scored no list has no report")
         catalog = self.ledger.catalog
         count = len(self.request_ndcgs)
         total = float(sum(self.request_ndcgs))
@@ -222,6 +233,15 @@ class CellResult:
             avg_quality=total / count,
             histogram=metrics.ndcg_histogram(self.request_ndcgs),
         )
+
+
+def _scores_lists(spec: ExperimentSpec, model: str) -> bool:
+    """Whether a cell of ``model`` scores its lists.
+
+    Every cell does but a top-K cell run only as a UIR reference:
+    :func:`run_experiment` reads nothing from it but its ledger's DPF.
+    """
+    return model != "top_k" or model == spec.model
 
 
 def _baseline_policy(model: str, k: int, matrix: PreferenceMatrix):
@@ -259,13 +279,15 @@ def run_cell_offline(
         values = [quality_report.per_user[u] for u in range(m)]
     else:
         policy = _baseline_policy(model, k, matrix)
+        scored = _scores_lists(spec, model)
         ledger = ExposureLedger(total_exposure(m, k), catalog, spec.notion)
         served, values = [], []
         for user in range(m):
             rlist = policy(user, (spec.seed, user))
             ledger.apply(rlist, k)
             served.append(rlist)
-            values.append(ndcg(matrix, user, rlist, k))
+            if scored:
+                values.append(ndcg(matrix, user, rlist, k))
     return CellResult(
         lists=tuple(served),
         ledger=ledger,
@@ -293,6 +315,7 @@ def run_cell_online(
     """
     m = matrix.n_users
     record = model == spec.model
+    scored = _scores_lists(spec, model)
     trace = make_trace(m, spec.rounds, spec.seed)
     state = OnlineState.fresh(catalog, spec.notion)
     ledger = state.ledger
@@ -305,43 +328,43 @@ def run_cell_online(
     else:
         policy = _baseline_policy(model, k, matrix)
 
-        def serve(user: int, step: int) -> tuple[RankedList, float]:
+        def serve(user: int, step: int) -> tuple[RankedList, float | None]:
             ledger.set_budget(total_exposure(step, k))
             rlist = policy(user, (spec.seed, step))
             ledger.apply(rlist, k)
-            return rlist, ndcg(matrix, user, rlist, k)
+            return rlist, ndcg(matrix, user, rlist, k) if scored else None
 
     user_total = np.zeros(m)
     user_count = np.zeros(m)
+    # each user's average NDCG so far, 0 until served
+    averages = np.zeros(m)
     served: list[RankedList] = []
     request_ndcgs: list[float] = []
     timeseries: list[dict] = []
     running_total = 0.0
+    running_dpf = metrics._dpf_rule(catalog, spec.notion)
 
     for step, user in enumerate(trace, start=1):
         rlist, value = serve(user, step)
         served.append(rlist)
+        if not scored:
+            continue
         request_ndcgs.append(value)
         running_total += value
         user_total[user] += value
         user_count[user] += 1
-        if not record:
-            continue
+        averages[user] = user_total[user] / user_count[user]
+        if record:
+            timeseries.append(dict(zip(TIMESERIES_COLUMNS, (
+                step, user, value, metrics._variance(averages),
+                running_dpf(ledger.exposure), running_total / step,
+            ))))
 
-        averages = np.where(user_count > 0, user_total / np.maximum(user_count, 1), 0.0)
-        timeseries.append(dict(zip(TIMESERIES_COLUMNS, (
-            step, user, value, float(np.var(averages)),
-            metrics.dpf(ledger, catalog, spec.notion), running_total / step,
-        ))))
-
-    per_user = {
-        u: (user_total[u] / user_count[u] if user_count[u] else 0.0) for u in range(m)
-    }
     return CellResult(
         lists=tuple(served),
         ledger=ledger,
         request_ndcgs=tuple(request_ndcgs),
-        per_user_ndcg=per_user,
+        per_user_ndcg=dict(enumerate(averages.tolist())) if scored else {},
         timeseries=timeseries,
     )
 
@@ -418,9 +441,9 @@ def _write_timeseries(path: Path, rows: list[dict]) -> Path:
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Run the spec's scenario for every requested K; return written files.
 
-    Each K also needs the UIR references in the same scenario, the
-    min-exposure and top-K models; a run of either model is its own
-    reference, and any other reference is run here.
+    Each K also needs the UIR references in the same scenario: the
+    min-exposure model's DCF and the top-K model's DPF.  A run of either
+    model is its own reference, and any other reference is run here.
     """
     matrix, catalog = _load(spec)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,12 +464,13 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         written.append(_write_ledger_file(
             spec.out_dir / f"ledger_{spec.model}_{spec.scenario}_K{k}.tsv", cell.ledger
         ))
-        report = cell.report()
-        refs = {spec.model: report}
+        cells = {spec.model: cell}
         for model in ("min_exposure", "top_k"):
-            if model not in refs:
-                refs[model] = run_cell(spec, model, k, matrix, catalog).report()
-        rows.append((k, report, refs["min_exposure"].dcf, refs["top_k"].dpf(spec.notion)))
+            if model not in cells:
+                cells[model] = run_cell(spec, model, k, matrix, catalog)
+        mu1 = metrics.dcf(list(cells["min_exposure"].per_user_ndcg.values()))
+        mu2 = metrics.dpf(cells["top_k"].ledger, catalog, spec.notion)
+        rows.append((k, cell.report(), mu1, mu2))
     written.append(emit_report(spec, rows, spec.out_dir / "summary.csv"))
     return written
 

@@ -10,7 +10,7 @@ Lower is better for all three; top-K scores UIR 1 by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,12 +20,37 @@ from .exposure import ExposureLedger, FairnessNotion, _provider_sizes
 _BIN_EDGES = np.array([0.0, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
 
 
+def _variance(values: np.ndarray) -> float:
+    """Population variance of a non-empty float64 array, bit for bit ``np.var``'s.
+
+    The same float64 steps without its dispatch: the mean as the pairwise
+    sum over ``n``, each deviation squared, their pairwise sum over ``n``.
+    """
+    n = values.size
+    deviation = values - values.sum() / n
+    return float((deviation * deviation).sum() / n)
+
+
 def dcf(ndcgs: Sequence[float]) -> float:
     """Population variance of per-user quality."""
     values = np.asarray(ndcgs, dtype=np.float64)
     if values.size == 0:
         raise ValueError("dcf needs at least one value")
-    return float(np.var(values))
+    return _variance(values)
+
+
+def _dpf_rule(catalog: Catalog, notion: FairnessNotion) -> Callable[[np.ndarray], float]:
+    """DPF as a function of a ledger's exposure array on ``catalog``.
+
+    The rule under :func:`dpf` and the online time series: the providers
+    kept and their denominators are taken once, when the rule is made.
+    """
+    sizes = _provider_sizes(catalog, notion)
+    valid = sizes > 0
+    if not valid.any():
+        raise ValueError("no provider has a positive denominator")
+    denominators = sizes[valid]
+    return lambda exposure: _variance(exposure[valid] / denominators)
 
 
 def dpf(ledger: ExposureLedger, catalog: Catalog, notion: FairnessNotion) -> float:
@@ -36,11 +61,7 @@ def dpf(ledger: ExposureLedger, catalog: Catalog, notion: FairnessNotion) -> flo
     be the ledger's own object.
     """
     ledger.check_catalog(catalog)
-    sizes = _provider_sizes(catalog, notion)
-    valid = sizes > 0
-    if not valid.any():
-        raise ValueError("no provider has a positive denominator")
-    return float(np.var(ledger.exposure[valid] / sizes[valid]))
+    return _dpf_rule(catalog, notion)(ledger.exposure)
 
 
 def uir(

@@ -10,6 +10,7 @@ item inherits from its provider during re-ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,16 @@ class LiftAssignment:
         if not np.all(np.isfinite(by_provider)):
             raise ValueError("lifts must be finite")
         object.__setattr__(self, "by_provider", by_provider)
+
+    @classmethod
+    def _trusted(cls, by_provider: np.ndarray) -> "LiftAssignment":
+        """Lifts :func:`normalize_lifts` computed, which are not re-checked.
+
+        ``by_provider`` must already be a float64 array of finite values.
+        """
+        lifts = object.__new__(cls)
+        object.__setattr__(lifts, "by_provider", by_provider)
+        return lifts
 
 
 def err_rates(ledger: ExposureLedger) -> np.ndarray:
@@ -75,16 +86,22 @@ def normalize_lifts(err: np.ndarray) -> LiftAssignment:
     Each positive error is divided by the sum of all positive errors and
     each negative error by the absolute sum of all negative errors, so the
     positive lifts total +1 and the negative lifts total -1 whenever the
-    group is non-empty.  Zero errors stay zero.
+    group is non-empty.  Zero errors stay zero.  A group whose sum is not
+    finite raises ``ValueError``.
     """
     err = np.asarray(err, dtype=np.float64)
     lift = np.zeros_like(err)
     positive = err > 0
-    group = err[positive]
-    # an empty group assigns nothing, whatever its (zero) sum
-    lift[positive] = group / group.sum()
+    above = err[positive]
+    above_sum = above.sum()
     negative = err < 0
-    group = err[negative]
-    lift[negative] = group / -group.sum()
-    return LiftAssignment(by_provider=lift)
-
+    below = err[negative]
+    below_sum = -below.sum()
+    # each error is at most its group's sum in size, so finite sums give
+    # finite lifts in [-1, 1]
+    if not (math.isfinite(above_sum) and math.isfinite(below_sum)):
+        raise ValueError("lifts must be finite, and a sign group's errors sum to inf")
+    # an empty group assigns nothing, whatever its (zero) sum
+    lift[positive] = above / above_sum
+    lift[negative] = below / below_sum
+    return LiftAssignment._trusted(lift)

@@ -80,6 +80,21 @@ def exact_lifts(deficit: Sequence[float], sizes: Sequence[float]) -> list[Fracti
     return [r / positive if r > 0 else r / negative if r < 0 else Fraction(0) for r in rates]
 
 
+def gathered_lifts(err: np.ndarray) -> np.ndarray:
+    """Normalized lifts by the package's earlier formula, kept as its bit-level reference.
+
+    Each sign group is gathered, divided by its own sum, and scattered back.
+    """
+    lift = np.zeros_like(err)
+    positive = err > 0
+    group = err[positive]
+    lift[positive] = group / group.sum()
+    negative = err < 0
+    group = err[negative]
+    lift[negative] = group / -group.sum()
+    return lift
+
+
 def probe_bound(config) -> int:
     """Most probes a search may evaluate.
 
@@ -177,8 +192,10 @@ def replay_check(record: RunRecord, config) -> ReplayVerdict:
     """Re-derive a completed run's bookkeeping from its raw lists.
 
     Checks list shape, exposure conservation (per step for online runs),
-    the recorded ledger, the quality floor, and the NDCG histogram.
-    ``config`` only needs ``k`` and, when a floor was promised, ``threshold``.
+    the recorded ledger, the quality floor, and the NDCG histogram.  Lists
+    are scored with :func:`exact_ndcg`, so no score scale, subnormal
+    included, can round a list's NDCG across the floor.  ``config`` only
+    needs ``k`` and, when a floor was promised, ``threshold``.
     """
     verdict = ReplayVerdict()
     k = int(config.k)
@@ -210,7 +227,7 @@ def replay_check(record: RunRecord, config) -> ReplayVerdict:
                     f"exposure after step {step} is {running}, expected {expected}"
                 )
         row = record.matrix.scores[rlist.user]
-        ndcgs.append(naive_ndcg([float(v) for v in row], rlist.items, k))
+        ndcgs.append(exact_ndcg([float(v) for v in row], rlist.items, k))
 
     expected_total = len(record.lists) * per_slot_total
     if abs(running - expected_total) > 1e-6 * max(1.0, expected_total):
@@ -231,11 +248,13 @@ def replay_check(record: RunRecord, config) -> ReplayVerdict:
         for step, value in enumerate(ndcgs, start=1):
             if value < floor:
                 verdict.violations.append(
-                    f"list #{step} has NDCG {value} below the {record.threshold} floor"
+                    f"list #{step} has NDCG {float(value)} below the {record.threshold} floor"
                 )
 
     if record.histogram is not None:
-        recount = _naive_histogram(ndcgs)
+        # each exact NDCG rounded to its nearest float, the value a float
+        # NDCG that rounds correctly would bin against the float edges
+        recount = _naive_histogram([float(value) for value in ndcgs])
         if list(record.histogram) != recount:
             verdict.violations.append(
                 f"histogram {list(record.histogram)} != recount {recount}"

@@ -123,9 +123,10 @@ def fairsort_qf(population):
 @pytest.fixture(scope="module")
 def baseline_offline(population):
     matrix, catalog = population
-    spec = _spec()
     out = {}
     for model in ("top_k", "min_exposure"):
+        # each reference under its own spec, so that the cell keeps its full report
+        spec = _spec(model=model)
         for k in K_VALUES:
             cell = run_cell_offline(spec, model, k, matrix, catalog)
             out[(model, k)] = (cell, cell.report())
@@ -135,9 +136,9 @@ def baseline_offline(population):
 @pytest.fixture(scope="module")
 def online_cells(population):
     matrix, catalog = population
-    spec = _spec(scenario="online")
     out = {}
     for model in ("fairsort", "top_k", "min_exposure"):
+        spec = _spec(scenario="online", model=model)
         cell = run_cell_online(spec, model, ONLINE_K, matrix, catalog)
         out[model] = (cell, cell.report())
     return out

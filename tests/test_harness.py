@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fairsort import FairnessNotion, RunConfig, generate_synthetic
+from fairsort import FairnessNotion, RunConfig, generate_synthetic, harness
 from fairsort.harness import (
     _CONFIG_KEYS,
     SUMMARY_COLUMNS,
@@ -229,7 +229,8 @@ def test_offline_cells_replay_cleanly(tmp_path):
         spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
     )
     for model in ("fairsort", "top_k", "mixed_k", "all_random", "min_exposure"):
-        cell = run_cell_offline(spec, model, 4, matrix, catalog)
+        # under its own spec, a top-K cell scores its lists
+        cell = run_cell_offline(spec_with(tmp_path, model=model), model, 4, matrix, catalog)
         record = RunRecord(
             matrix=matrix,
             catalog=catalog,
@@ -276,6 +277,66 @@ def test_online_reference_cells_skip_the_time_series(tmp_path):
     assert len(own.timeseries) == len(own.lists)
     for model in ("min_exposure", "top_k"):
         assert run_cell_online(spec, model, 4, matrix, catalog).timeseries == []
+
+
+@pytest.mark.parametrize("scenario", ["offline", "online"])
+def test_reference_cells_compute_only_what_calibration_reads(tmp_path, scenario):
+    spec = spec_with(tmp_path, scenario=scenario, rounds=2)
+    matrix, catalog = generate_synthetic(
+        spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
+    )
+    run_cell = run_cell_online if scenario == "online" else run_cell_offline
+    # run_experiment reads only the top-K reference's ledger
+    top = run_cell(spec, "top_k", 4, matrix, catalog)
+    assert len(top.lists) == spec.users * (spec.rounds if scenario == "online" else 1)
+    assert top.request_ndcgs == () and top.per_user_ndcg == {}
+    with pytest.raises(ValueError, match="scored no list"):
+        top.report()
+    # the min-exposure reference still scores every list, for its DCF; and a
+    # spec's own top-K or min-exposure cell keeps its full report
+    cells = [(run_cell(spec, "min_exposure", 4, matrix, catalog), False)]
+    for model in ("top_k", "min_exposure"):
+        cells.append((run_cell(spec_with(tmp_path, scenario=scenario, rounds=2, model=model),
+                               model, 4, matrix, catalog), True))
+    for cell, own in cells:
+        assert len(cell.request_ndcgs) == len(cell.lists)
+        assert sorted(cell.per_user_ndcg) == list(range(spec.users))
+        assert sum(cell.report().histogram) == len(cell.lists)
+        assert len(cell.timeseries) == (len(cell.lists) if own and scenario == "online" else 0)
+
+
+@pytest.mark.parametrize("scenario", ["offline", "online"])
+def test_a_run_scores_lists_only_in_the_cells_it_reports(tmp_path, monkeypatch, scenario):
+    spec = spec_with(tmp_path, scenario=scenario, rounds=3, k=[3, 4])
+    models, calls = [], []
+    for name in ("run_cell_offline", "run_cell_online"):
+        def cell(spec, model, *args, _real=getattr(harness, name)):
+            models.append(model)
+            return _real(spec, model, *args)
+        monkeypatch.setattr(harness, name, cell)
+    real_ndcg = harness.ndcg
+
+    def ndcg(*args):
+        calls.append(models[-1])
+        return real_ndcg(*args)
+
+    monkeypatch.setattr(harness, "ndcg", ndcg)
+    run_experiment(spec)
+    # fairsort logs its own NDCGs; of the references, only min-exposure's are read
+    assert models == ["fairsort", "min_exposure", "top_k"] * 2
+    requests = spec.users * (spec.rounds if scenario == "online" else 1)
+    assert calls == ["min_exposure"] * requests * 2
+
+
+@pytest.mark.parametrize("key", ["seed", "data_seed"])
+def test_cli_rejects_a_negative_seed_before_making_the_output_directory(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    # online, so that the run seed is drawn from
+    config_path.write_text(json.dumps(dict(BASE, scenario="online", out=str(out), **{key: -1})))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"error: {key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_round_trip(tmp_path, capsys):

@@ -17,6 +17,7 @@ from fairsort import (
     ndcg_histogram,
     uir,
 )
+from fairsort.metrics import _variance
 
 UF = FairnessNotion.UNIFORM
 QF = FairnessNotion.QUALITY_WEIGHTED
@@ -123,6 +124,24 @@ def test_histogram_rejects_out_of_range():
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=0, max_size=200))
 def test_histogram_counts_everything_once(values):
     assert sum(ndcg_histogram(values)) == len(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.floats(-1, 1), min_size=1, max_size=300),
+    st.sampled_from([5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300]),
+    st.booleans(),
+)
+def test_variance_is_numpys_bit_for_bit(values, scale, two_decimal):
+    values = np.array(values)
+    if two_decimal:
+        # like a sparse rating row: ties, and many exact zeros
+        values = np.round(values, 2) * (np.abs(values) < 0.3)
+    values = values * scale
+    # the two warn about an overflow in different words
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours, numpys = np.float64(_variance(values)), np.var(values)
+    assert ours.tobytes() == numpys.tobytes() or (np.isnan(ours) and np.isnan(numpys))
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,10 +11,12 @@ import pytest
 
 import fairsort
 from fairsort import (
+    Catalog,
     FairnessNotion,
     PreferenceMatrix,
     RankedList,
     RunConfig,
+    fairsort_offline,
     generate_synthetic,
     ideal_dcg,
     ndcg,
@@ -143,6 +145,32 @@ def test_replay_check_accepts_clean_run():
 
 def test_replay_check_accepts_clean_online_run():
     record, config = _clean_record(scenario="online")
+    verdict = replay_check(record, config)
+    assert verdict.ok, verdict.violations
+
+
+def test_replay_check_judges_a_subnormal_row_exactly():
+    # float DCGs round in the subnormal range: naive_ndcg reads this list's
+    # NDCG 0.5 as 0.0, below the floor
+    matrix = PreferenceMatrix(np.array([[0.0, 0.0, 5e-324]]))
+    catalog = Catalog.build(np.array([0, 1, 0]), matrix)
+    config = RunConfig(k=3, notion=FairnessNotion.UNIFORM, threshold=0.5)
+    lists, ledger, report = fairsort_offline(matrix, catalog, config)
+    assert lists[0].items == (1, 0, 2) and report.per_user[0] == 0.5
+    assert naive_ndcg(matrix.scores[0].tolist(), lists[0].items, 3) == 0.0
+    # 0.5 is also the edge that opens the histogram's second bin
+    histogram = ndcg_histogram([report.per_user[0]])
+    assert histogram == (0, 1, 0, 0, 0, 0, 0, 0, 0)
+    record = RunRecord(
+        matrix=matrix,
+        catalog=catalog,
+        scenario="offline",
+        k=3,
+        lists=(lists[0],),
+        ledger_exposure=ledger.exposure,
+        histogram=histogram,
+        threshold=0.5,
+    )
     verdict = replay_check(record, config)
     assert verdict.ok, verdict.violations
 

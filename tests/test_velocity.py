@@ -17,7 +17,7 @@ from fairsort import (
     normalize_lifts,
 )
 
-from oracle import exact_lifts
+from oracle import exact_lifts, gathered_lifts
 
 UF = FairnessNotion.UNIFORM
 QF = FairnessNotion.QUALITY_WEIGHTED
@@ -181,6 +181,33 @@ def test_balanced_ledger_produces_zero_lifts():
     ledger.exposure = ledger.target.copy()
     lifts = normalize_lifts(err_rates(ledger))
     assert np.all(lifts.by_provider == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1, 1), min_size=1, max_size=60),
+    st.sampled_from([5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, 1.7e308]),
+)
+def test_normalize_lifts_keep_the_gathered_formulas_bits(errors, scale):
+    err = np.array(errors) * scale
+    with np.errstate(over="ignore"):
+        sums = [err[err > 0].sum(), err[err < 0].sum()]
+        if not np.all(np.isfinite(sums)):
+            with pytest.raises(ValueError, match="lifts must be finite"):
+                normalize_lifts(err)
+            return
+    assert normalize_lifts(err).by_provider.tobytes() == gathered_lifts(err).tobytes()
+
+
+@pytest.mark.parametrize("err", [
+    [np.inf, 1.0, -1.0],
+    [1.0, -np.inf],
+    # each error is finite, but the group's sum is not
+    [1e308, 1e308, -1.0],
+])
+def test_normalize_lifts_rejects_a_group_that_sums_to_inf(err):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="lifts must be finite"):
+        normalize_lifts(np.array(err))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
