@@ -393,18 +393,13 @@ def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
     return _smallest_k_at(-row, k)
 
 
-def _check_depth(depth: int, n_items: int) -> None:
-    """Raise ``ValueError`` unless a list of ``depth`` items fits ``n_items``."""
-    if not 1 <= depth <= n_items:
-        raise ValueError(f"depth {depth} outside 1..{n_items}")
-
-
 def _user_row(matrix: PreferenceMatrix, user: int, depth: int) -> np.ndarray:
     """The user's score row, once the user and a list depth are checked."""
     # a negative index would wrap around to another user's row
     if not 0 <= user < matrix.n_users:
         raise ValueError(f"user {user} out of range")
-    _check_depth(depth, matrix.n_items)
+    if not 1 <= depth <= matrix.n_items:
+        raise ValueError(f"depth {depth} outside 1..{matrix.n_items}")
     return matrix.scores[user]
 
 
@@ -430,8 +425,8 @@ def _allocate_sizes(n_items: int, weights: np.ndarray) -> np.ndarray:
         remainders = raw - np.floor(raw)
         # lower provider id wins remainder ties
         order = (-remainders).argsort(kind="stable")
-        for idx in range(deficit):
-            sizes[order[idx % weights.size]] += 1
+        # each remainder is below 1, so the deficit is at most the provider count
+        sizes[order[:deficit]] += 1
     while sizes.sum() > n_items:
         candidates = np.flatnonzero(sizes > 1)
         sizes[candidates[np.argmax(sizes[candidates])]] -= 1

@@ -133,12 +133,11 @@ class ExposureLedger:
                 f"not the {owner} own ({own.n_items} items, {own.n_providers} providers)"
             )
 
-    def apply(self, rlist: RankedList, k: int) -> "ExposureLedger":
+    def apply(self, rlist: RankedList, k: int) -> None:
         """Credit the exposure of one list to its providers."""
         self.exposure += list_contribution(rlist, k, self.catalog)
-        return self
 
-    def retract(self, rlist: RankedList, k: int) -> "ExposureLedger":
+    def retract(self, rlist: RankedList, k: int) -> None:
         """Withdraw a previously applied list, e.g. a provisional one."""
         self.exposure -= list_contribution(rlist, k, self.catalog)
         low = self.exposure.min()
@@ -149,7 +148,6 @@ class ExposureLedger:
             )
         # clip at 0; with no NaN in exposure, np.maximum gives the same bits
         np.maximum(self.exposure, 0.0, out=self.exposure)
-        return self
 
     def snapshot_lines(self) -> list[str]:
         """Serialize as ``provider_id<TAB>e<TAB>e_fair`` lines."""

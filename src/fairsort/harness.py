@@ -317,9 +317,9 @@ def run_cell_online(
     record = model == spec.model
     scored = _scores_lists(spec, model)
     trace = make_trace(m, spec.rounds, spec.seed)
-    state = OnlineState.fresh(catalog, spec.notion)
-    ledger = state.ledger
     if model == "fairsort":
+        state = OnlineState.fresh(catalog, spec.notion)
+        ledger = state.ledger
         config = spec.run_config(k)
 
         def serve(user: int, step: int) -> tuple[RankedList, float]:
@@ -327,9 +327,10 @@ def run_cell_online(
             return rlist, state.ndcg_log[-1][1]
     else:
         policy = _baseline_policy(model, k, matrix)
+        # the run's budget from the start: nothing reads it before the final snapshot
+        ledger = ExposureLedger(total_exposure(len(trace), k), catalog, spec.notion)
 
         def serve(user: int, step: int) -> tuple[RankedList, float | None]:
-            ledger.set_budget(total_exposure(step, k))
             rlist = policy(user, (spec.seed, step))
             ledger.apply(rlist, k)
             return rlist, ndcg(matrix, user, rlist, k) if scored else None
@@ -483,16 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute one experiment spec")
     run.add_argument("--config", required=True, help="path to a flat JSON config")
-    run.add_argument("--model", choices=MODELS)
-    run.add_argument("--scenario", choices=SCENARIOS)
-    run.add_argument("--k", help="comma-separated list depths, e.g. 5,10,20")
-    run.add_argument("--threshold")
-    run.add_argument("--lambda-max", dest="lambda_max")
-    run.add_argument("--gap")
-    run.add_argument("--ratio")
-    run.add_argument("--notion", choices=[n.value for n in FairnessNotion])
-    run.add_argument("--seed")
-    run.add_argument("--out", help="output directory")
+    help_text = {"k": "comma-separated list depths, e.g. 5,10,20", "out": "output directory"}
+    # each flag overrides the config key it names, as an untyped string for its parser
+    for key in ("model", "scenario", "k", "threshold", "lambda_max", "gap", "ratio",
+                "notion", "seed", "out"):
+        run.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text.get(key))
     return parser
 
 

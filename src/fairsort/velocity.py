@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exposure import ExposureLedger, _provider_sizes
+from .exposure import ExposureLedger, FairnessNotion, _provider_sizes
+
+# the smallest normal float64: a rate below it has lost digits
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -49,20 +52,23 @@ def err_rates(ledger: ExposureLedger) -> np.ndarray:
     under uniform fairness, quality mass under quality-weighted fairness.  A
     provider of zero size, which only a zero quality mass can give, has a
     zero target and an error rate pinned to 0.  Only a size below 1 can
-    make a finite deficit's rate overflow; where a sign group's rates or
-    their sum do, that group alone is scaled down by a power of two, a
-    common factor that :func:`normalize_lifts` cancels.
+    make a finite deficit's rate overflow, and only a tiny deficit over a
+    huge size can make it fall below the normal floats, to 0 at worst.
+    Where a sign group's rates sum to either, that group alone is scaled by
+    a power of two, a common factor that :func:`normalize_lifts` cancels.
     """
     sizes = _provider_sizes(ledger.catalog, ledger.notion)
     deficit = ledger.target - ledger.exposure
-    if sizes.min() >= 1.0:
+    # every provider owns an item, so only a quality mass can be below 1
+    if ledger.notion is FairnessNotion.UNIFORM or sizes.min() >= 1.0:
         # no size is 0, and none is small enough for a finite deficit to overflow
-        return deficit / sizes
+        err = deficit / sizes
+        if abs(err).min() >= _TINY:
+            return err
     with np.errstate(over="ignore"):
         err = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
-        for group in (err > 0, err < 0):
-            # a rate or the group's sum overflows
-            if not np.isfinite(err[group].sum()):
+        for group in ((deficit > 0) & (sizes > 0), (deficit < 0) & (sizes > 0)):
+            if group.any() and not _TINY <= abs(err[group].sum()) < math.inf:
                 err[group] = _scaled_rates(deficit[group], sizes[group])
     return err
 

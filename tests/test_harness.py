@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fairsort import FairnessNotion, RunConfig, generate_synthetic, harness
+from fairsort import FairnessNotion, RunConfig, generate_synthetic, harness, total_exposure
 from fairsort.harness import (
     _CONFIG_KEYS,
     SUMMARY_COLUMNS,
@@ -279,6 +279,21 @@ def test_online_reference_cells_skip_the_time_series(tmp_path):
         assert run_cell_online(spec, model, 4, matrix, catalog).timeseries == []
 
 
+@pytest.mark.parametrize("model", ["top_k", "mixed_k", "all_random", "min_exposure"])
+def test_online_baseline_cell_books_on_its_runs_budget(tmp_path, monkeypatch, model):
+    spec = spec_with(tmp_path, scenario="online", rounds=2, model=model)
+    matrix, catalog = generate_synthetic(
+        spec.users, spec.items, spec.providers, spec.skew, spec.data_seed
+    )
+    set_budget = []
+    monkeypatch.setattr(harness.ExposureLedger, "set_budget",
+                        lambda ledger, budget: set_budget.append(budget))
+    cell = run_cell_online(spec, model, 4, matrix, catalog)
+    assert set_budget == []
+    assert cell.ledger.budget == total_exposure(spec.users * spec.rounds, 4)
+    assert cell.ledger.exposure.sum() == pytest.approx(cell.ledger.budget, rel=1e-12)
+
+
 @pytest.mark.parametrize("scenario", ["offline", "online"])
 def test_reference_cells_compute_only_what_calibration_reads(tmp_path, scenario):
     spec = spec_with(tmp_path, scenario=scenario, rounds=2)
@@ -356,6 +371,35 @@ def test_cli_flags_are_config_keys():
     # main passes every parsed flag but the subcommand and the config path as an override
     args = vars(_build_parser().parse_args(["run", "--config", "c.json"]))
     assert set(args) - {"command", "config"} <= set(_CONFIG_KEYS)
+
+
+def test_cli_flag_takes_what_its_config_key_takes(tmp_path):
+    # the notion's parser takes any case, and the flag's value goes through it
+    outputs = []
+    for name, config, flags in (("key", {"notion": "QF"}, []),
+                                ("flag", {}, ["--notion", "QF"])):
+        out = tmp_path / name
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(dict(BASE, out=str(out), **config)))
+        assert main(["run", "--config", str(config_path), *flags]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert read_summary(tmp_path / "flag" / "summary.csv")[0]["notion"] == "qf"
+
+
+def test_cli_bad_flag_value_names_its_config_key(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(BASE, out=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(config_path), "--model", "bogus"]) == 2
+    assert "error: model must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_must_be_a_json_object(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps([BASE]))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "error: config must be a flat JSON object" in capsys.readouterr().err
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

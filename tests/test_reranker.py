@@ -24,6 +24,7 @@ from fairsort import (
     fairsort_online_step,
     generate_synthetic,
     ndcg,
+    ndcg_histogram,
     normalize_lifts,
     original_ranking,
     rerank_with_lambda,
@@ -38,7 +39,14 @@ from fairsort.harness import make_trace
 from fairsort.reranker import _serve_depth, binary_search_lambda_traced
 
 from conftest import make_search_instance
-from oracle import exact_ndcg, grid_lambda_profile, naive_ndcg, probe_bound
+from oracle import (
+    RunRecord,
+    exact_ndcg,
+    grid_lambda_profile,
+    naive_ndcg,
+    probe_bound,
+    replay_check,
+)
 
 UF = FairnessNotion.UNIFORM
 QF = FairnessNotion.QUALITY_WEIGHTED
@@ -807,11 +815,15 @@ def hostile_runs(draw):
     n_providers = draw(st.integers(1, min(3, n_items)))
     provider_of = draw(st.permutations([i % n_providers for i in range(n_items)]))
     ratio = draw(st.sampled_from([1.0, 0.5]))
-    k = draw(st.integers(1, math.ceil(n_items * ratio)))
+    pool_size = math.ceil(n_items * ratio)
+    # a pool of exactly k, which at ratio 1 is k = n_items
+    k = draw(st.just(pool_size) | st.integers(1, pool_size))
     threshold = draw(st.sampled_from([0.5, 0.9, 1.0]))
     notion = draw(st.sampled_from([UF, QF]))
     trace = draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=6))
-    config = RunConfig(k=k, notion=notion, threshold=threshold, ratio=ratio)
+    config = RunConfig(k=k, notion=notion, threshold=threshold, ratio=ratio,
+                       lambda_max=draw(st.sampled_from([16.0, 1e3, 1e6])),
+                       gap=draw(st.sampled_from([2.0**-7, 1e-9])))
     return rows, provider_of, config, trace
 
 
@@ -821,6 +833,23 @@ def assert_served_exactly(matrix, user, served, value, config):
     assert value == ndcg(matrix, user, served, config.k)
     assert abs(value - float(exact)) <= 1e-12
     assert exact >= config.threshold - 1e-12
+
+
+def bounded_search(matrix, user, pool, lifts, config, catalog):
+    """The serve path's search, through the traced one, held to its probe bound."""
+    lam, rlist, value, probes = binary_search_lambda_traced(
+        matrix, user, pool, lifts, config, catalog
+    )
+    assert probes <= probe_bound(config)
+    return lam, rlist, value
+
+
+def assert_replays(matrix, catalog, scenario, lists, ledger, values, config):
+    record = RunRecord(matrix=matrix, catalog=catalog, scenario=scenario, k=config.k,
+                       lists=tuple(lists), ledger_exposure=ledger.exposure,
+                       histogram=ndcg_histogram(values), threshold=config.threshold)
+    verdict = replay_check(record, config)
+    assert verdict.ok, verdict.violations
 
 
 @settings(max_examples=300, deadline=None)
@@ -835,17 +864,26 @@ def test_whole_runs_meet_the_floor_on_every_score_scale(run):
             with pytest.raises(ValueError, match="need positive total quality mass"):
                 run_from_nothing()
         return
-    lists, ledger, report = fairsort_offline(matrix, catalog, config)
-    for user, served in lists.items():
-        assert_served_exactly(matrix, user, served, report.per_user[user], config)
-    budget = total_exposure(matrix.n_users, config.k)
-    assert abs(ledger.exposure.sum() - budget) <= 1e-12 * budget
-    state = OnlineState.fresh(catalog, config.notion)
-    for user in trace:
-        served, state = fairsort_online_step(state, matrix, catalog, user, config)
-        assert_served_exactly(matrix, user, served, state.ndcg_log[-1][1], config)
-        budget = state.ledger.budget
-        assert abs(state.ledger.exposure.sum() - budget) <= 1e-12 * budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reranker, "binary_search_lambda", bounded_search)
+        lists, ledger, report = fairsort_offline(matrix, catalog, config)
+        users = range(matrix.n_users)
+        for user in users:
+            assert_served_exactly(matrix, user, lists[user], report.per_user[user], config)
+        budget = total_exposure(matrix.n_users, config.k)
+        assert abs(ledger.exposure.sum() - budget) <= 1e-12 * budget
+        assert_replays(matrix, catalog, "offline", [lists[u] for u in users], ledger,
+                       [report.per_user[u] for u in users], config)
+        state = OnlineState.fresh(catalog, config.notion)
+        served_lists = []
+        for user in trace:
+            served, state = fairsort_online_step(state, matrix, catalog, user, config)
+            assert_served_exactly(matrix, user, served, state.ndcg_log[-1][1], config)
+            budget = state.ledger.budget
+            assert abs(state.ledger.exposure.sum() - budget) <= 1e-12 * budget
+            served_lists.append(served)
+        assert_replays(matrix, catalog, "online", served_lists, state.ledger,
+                       [value for _, value in state.ndcg_log], config)
 
 
 # provider 0's quality mass is the smallest subnormal, so its deficit over

@@ -1,7 +1,5 @@
 """Exposure error rates and sign-group lift normalization."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +55,23 @@ def test_err_rates_zero_mass_provider_is_pinned_to_zero():
     assert rates[0] > 0
 
 
+def assert_rates_match_the_masked_division(ledger, sizes):
+    """Rates keep the masked division's bits wherever it carries them exactly,
+    and every lift is exact."""
+    deficit = ledger.target - ledger.exposure
+    with np.errstate(over="ignore"):
+        masked = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
+    rates = err_rates(ledger)
+    assert rates.dtype == masked.dtype and np.all(np.isfinite(rates))
+    for group in (masked > 0, masked < 0):
+        # no rate overflows or falls below the normal floats, nor does the sum
+        if np.all(abs(masked[group]) >= 2.0**-1022) and np.isfinite(masked[group].sum()):
+            assert rates[group].tobytes() == masked[group].tobytes()
+    lifts = normalize_lifts(rates).by_provider
+    exact = exact_lifts(deficit.tolist(), sizes.tolist())
+    assert np.allclose(lifts, [float(x) for x in exact], rtol=0, atol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(1, 5), min_size=1, max_size=6),
@@ -64,17 +79,12 @@ def test_err_rates_zero_mass_provider_is_pinned_to_zero():
     st.data(),
 )
 def test_err_rates_uniform_equals_the_masked_division(item_count, budget, data):
-    # every item count is at least 1, so the plain division gives the same bits
+    # every item count is at least 1, so the plain division is taken
     catalog = catalog_with_masses(item_count, [1.0] * len(item_count))
     ledger = ExposureLedger(budget, catalog, UF)
     ledger.exposure = np.array(data.draw(st.lists(
         st.floats(0.0, 2e6), min_size=len(item_count), max_size=len(item_count))))
-    deficit = ledger.target - ledger.exposure
-    sizes = catalog.item_count
-    masked = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
-    rates = err_rates(ledger)
-    assert rates.dtype == masked.dtype
-    assert rates.tobytes() == masked.tobytes()
+    assert_rates_match_the_masked_division(ledger, catalog.item_count)
 
 
 # some quality masses below 1, one of them zero: the masked division's path
@@ -90,26 +100,14 @@ def test_err_rates_equal_the_masked_division_wherever_it_is_finite(masses, budge
     ledger = ExposureLedger(budget, catalog, QF)
     ledger.exposure = np.array(data.draw(st.lists(
         st.floats(0.0, 2e6), min_size=len(masses), max_size=len(masses))))
-    deficit = ledger.target - ledger.exposure
-    sizes = catalog.quality_mass
-    with np.errstate(over="ignore"):
-        masked = np.divide(deficit, sizes, out=np.zeros_like(deficit), where=sizes > 0)
-    rates = err_rates(ledger)
-    assert np.all(np.isfinite(rates))
-    for group in (masked > 0, masked < 0):
-        if np.isfinite(masked[group].sum()):
-            assert rates[group].tobytes() == masked[group].tobytes()
-    lifts = normalize_lifts(rates).by_provider
-    exact = exact_lifts(deficit.tolist(), sizes.tolist())
-    exact_rates = [Fraction(d) / Fraction(s) if s > 0 else Fraction(0)
-                   for d, s in zip(deficit.tolist(), sizes.tolist())]
-    for sign in (1, -1):
-        group = [i for i, rate in enumerate(exact_rates) if sign * rate > 0]
-        # a group whose rates all fall below the normal floats underflows
-        # (a tiny deficit over a huge mass), which this rescale leaves open
-        if group and max(abs(exact_rates[i]) for i in group) >= Fraction(2.0**-1022):
-            for i in group:
-                assert abs(lifts[i] - float(exact[i])) <= 1e-12
+    assert_rates_match_the_masked_division(ledger, catalog.quality_mass)
+
+
+def test_underflowing_rates_give_the_exact_lifts():
+    # a tiny deficit over a huge mass: the plain rate rounds to 0, the exact lift is 1
+    catalog = catalog_with_masses([1], [1e300])
+    ledger = ExposureLedger(7.0239349578664385e-245, catalog, QF)
+    assert normalize_lifts(err_rates(ledger)).by_provider.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("deficit_to, masses, lifts", [
