@@ -55,7 +55,9 @@ class PreferenceMatrix:
                 f"preference scores must sum to at most {sys.float_info.max!r}, "
                 f"the largest float; the sum overflows"
             )
-        if np.any(scores < 0):
+        # a reduction, not a mask the size of the matrix; with no NaN left,
+        # the minimum is negative exactly when some score is, and -0.0 is not
+        if scores.min() < 0:
             raise ValueError("preference scores must be nonnegative")
         object.__setattr__(self, "scores", scores)
 
@@ -457,6 +459,8 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     base = rng.random((n_users, n_items))
     # the boost range is deliberately narrow: tail items must stay cheap
-    # enough to displace head items without wrecking list quality
-    matrix = PreferenceMatrix(base * (0.8 + 0.2 * popularity[provider_of]))
+    # enough to displace head items without wrecking list quality; scaled in
+    # place, so the draw is the only array of the matrix's size
+    base *= 0.8 + 0.2 * popularity[provider_of]
+    matrix = PreferenceMatrix(base)
     return matrix, Catalog.build(provider_of, matrix)

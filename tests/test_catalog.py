@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,36 @@ def test_preference_matrix_rejects_negative_and_nonfinite():
     for bad in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             PreferenceMatrix(np.array([[np.inf, bad]]))
+    # -0.0 is not negative, the smallest subnormal below zero is
+    PreferenceMatrix(np.array([[0.0, -0.0]]))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        PreferenceMatrix(np.array([[1.0, -5e-324]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        PreferenceMatrix(np.array([[1.0, np.nan]]))
+
+
+def traced_peak(call):
+    """Peak bytes Python's allocators hold while ``call`` runs, beyond what they held before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_preference_matrix_validates_without_a_copy():
+    # the negative-score check used to build a bool mask of the matrix's shape
+    scores = np.ones((400, 500))
+    assert traced_peak(lambda: PreferenceMatrix(scores)) <= 0.02 * scores.nbytes
+
+
+def test_generate_synthetic_holds_one_matrix_at_its_peak():
+    # the generator's first call sets up state that later calls reuse
+    generate_synthetic(2, 3, 1, 1.5, 3)
+    nbytes = 200 * 500 * 8
+    # the draw and its scaled copy used to coexist: 2.13 times the matrix
+    assert traced_peak(lambda: generate_synthetic(200, 500, 5, 1.5, 3)) <= 1.25 * nbytes
 
 
 def test_preference_matrix_rejects_overflowing_total():

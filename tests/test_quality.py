@@ -1,6 +1,7 @@
 """DCG and NDCG behavior, including the frozen two-item example."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fairsort import (
     top_k,
 )
 from fairsort.catalog import _ideal_top, _smallest_k_at, _smallest_k_seeded
+from fairsort.reranker import _CATALOG
 
 from oracle import naive_dcg, naive_ndcg
 
@@ -72,6 +74,17 @@ def test_dcg_rejects_short_list():
 
 
 SMALL, SMALL_CATALOG = generate_synthetic(4, 10, 2, 1.0, 0)
+UF_CONFIG = RunConfig(k=3, notion=FairnessNotion.UNIFORM)
+LIFTS = LiftAssignment(by_provider=np.array([-1.0, 1.0]))
+
+
+def search_catalog(user, k):
+    config = RunConfig(k=k, notion=FairnessNotion.UNIFORM)
+    return binary_search_lambda(SMALL, user, _CATALOG, LIFTS, config, SMALL_CATALOG)
+
+
+def rerank_catalog(user, k):
+    return rerank_with_lambda(SMALL, user, _CATALOG, LIFTS, 1.0, k, SMALL_CATALOG)
 
 
 BAD_CALLS = [
@@ -96,6 +109,12 @@ BAD_CALLS = [
     ("dcg-k0", lambda: dcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
     ("list_contribution-k0",
      lambda: list_contribution(top_k(SMALL, 0, 3), 0, SMALL_CATALOG), "k must be >= 1"),
+    ("search-catalog-user-negative", lambda: search_catalog(-1, 3), "user -1 out of range"),
+    ("search-catalog-user-past-last", lambda: search_catalog(4, 3), "user 4 out of range"),
+    ("search-catalog-k-past-items", lambda: search_catalog(0, 11), "depth 11 outside 1..10"),
+    ("rerank-catalog-user-negative", lambda: rerank_catalog(-1, 3), "user -1 out of range"),
+    ("rerank-catalog-user-past-last", lambda: rerank_catalog(4, 3), "user 4 out of range"),
+    ("rerank-catalog-k-past-items", lambda: rerank_catalog(0, 11), "depth 11 outside 1..10"),
 ]
 
 
@@ -108,8 +127,6 @@ def test_scoring_and_baselines_reject_bad_users_and_depths(call, message):
 
 
 OUTSIDE = RankedList(0, (0, 1, 99))
-UF_CONFIG = RunConfig(k=3, notion=FairnessNotion.UNIFORM)
-LIFTS = LiftAssignment(by_provider=np.array([-1.0, 1.0]))
 
 OUTSIDE_CALLS = {
     "ndcg": lambda: ndcg(SMALL, 0, OUTSIDE, 3),
@@ -125,6 +142,21 @@ def test_ids_past_the_catalog_are_rejected(call):
     # numpy used to raise a bare IndexError for item 99
     with pytest.raises(ValueError, match="user 0 holds item 99, outside the catalog of 10 "):
         call()
+
+
+@pytest.mark.parametrize(
+    "by_provider", [[1.0], [1.0, -1.0, 0.5], [0.5, 0.5, 0.5]], ids=["short", "long", "constant"]
+)
+@pytest.mark.parametrize("pool", [_CATALOG, top_k(SMALL, 0, 10)], ids=["catalog", "ranking"])
+def test_lifts_sized_for_another_catalog_are_rejected(pool, by_provider):
+    # a short vector used to raise numpy's bare IndexError and a long one was
+    # read silently; a constant one must not slip through the lift shortcut
+    lifts = LiftAssignment(by_provider=np.array(by_provider))
+    message = re.escape(f"lifts have shape ({len(by_provider)},), but the catalog has 2 providers")
+    with pytest.raises(ValueError, match=message):
+        binary_search_lambda(SMALL, 0, pool, lifts, UF_CONFIG, SMALL_CATALOG)
+    with pytest.raises(ValueError, match=message):
+        rerank_with_lambda(SMALL, 0, pool, lifts, 1.0, 3, SMALL_CATALOG)
 
 
 def test_dcg_uses_only_first_k_slots():
