@@ -145,12 +145,8 @@ def _pool_arrays(
     lifts: LiftAssignment,
     k: int,
     catalog: Catalog,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The pool's ascending ids, scores and lifts, once the user, ``k`` and lifts are checked.
-
-    On the whole catalog positions are ids, so no id array is built and
-    ``None`` stands in for it.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool's ascending ids, scores and lifts, once the user, ``k`` and lifts are checked."""
     row = _user_row(matrix, user, k)
     if lifts.by_provider.shape != (catalog.n_providers,):
         raise ValueError(
@@ -158,7 +154,7 @@ def _pool_arrays(
             f"{catalog.n_providers} providers"
         )
     if pool is _CATALOG:
-        return None, row, lifts.by_provider[catalog.provider_of]
+        return np.arange(matrix.n_items), row, lifts.by_provider[catalog.provider_of]
     if len(pool) < k:
         raise ValueError(f"pool of {len(pool)} items cannot fill {k} slots")
     ids = np.sort(_list_ids(pool, len(pool), matrix.n_items))
@@ -184,7 +180,8 @@ def rerank_with_lambda(
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    return _served(user, ids, _smallest_k_at(-(scores + lam * item_lifts), k))
+    top_at = _smallest_k_at(-(scores + lam * item_lifts), k)
+    return RankedList._trusted(user, tuple(ids[top_at].tolist()))
 
 
 def binary_search_lambda(
@@ -216,7 +213,6 @@ def binary_search_lambda_traced(
     by position breaks ties in the lifted score by id.  It must hold
     ``_ideal_top(row, k)``, the user's own top k, or ``ValueError`` is
     raised; the pool's head, its own top k at weight 0, is then that top k.
-    The whole catalog holds it by construction, and its positions are ids.
     The head scores NDCG 1, so weight 0 always clears the floor.
     NDCG is taken on the scores scaled by :func:`_unit_scale` of the user's
     top score.  Bisection keeps the invariant NDCG(lo) >= threshold and
@@ -241,39 +237,28 @@ def binary_search_lambda_traced(
     """
     k = config.k
     ids, scores, item_lifts = _pool_arrays(matrix, user, pool, lifts, k, catalog)
-    neg_scores = -scores
-    if ids is None:
-        # the whole catalog: positions are ids, so its head is the user's own
-        # top k; every provider owns an item, so its lifts are constant when
-        # the providers' are
-        head_at = _smallest_k_at(neg_scores, k)
-        constant = np.all(lifts.by_provider == lifts.by_provider[0])
-    else:
-        # each of the user's top ids must sit at its sorted place in the pool;
-        # one past all the pool's ids clips to the last, a smaller id, and fails
-        top = _ideal_top(matrix.scores[user], k)
-        head_at = np.searchsorted(ids, top)
-        if not np.array_equal(ids.take(head_at, mode="clip"), top):
-            raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
-        constant = np.all(item_lifts == item_lifts[0])
+    # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
+    # zero, which no comparison sees
+    neg_scores, neg_lifts = -scores, -item_lifts
+    # each of the user's top ids must sit at its sorted place in the pool;
+    # one past all the pool's ids clips to the last, a smaller id, and fails
+    top = _ideal_top(matrix.scores[user], k)
+    head_at = np.searchsorted(ids, top)
+    if not np.array_equal(ids.take(head_at, mode="clip"), top):
+        raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
     # a constant shift cannot reorder anything, so the weight is irrelevant;
     # the head is the user's own top k, so its NDCG is exactly 1
-    if constant:
-        return 0.0, _served(user, ids, head_at), 1.0, 0
+    if np.all(item_lifts == item_lifts[0]):
+        return 0.0, RankedList._trusted(user, tuple(top.tolist())), 1.0, 0
 
     # the head is the user's own top k, so this is the ideal DCG
     gains = np.ldexp(scores, _unit_scale(scores[head_at[0]]))
     ideal = _dcg(gains[head_at])
-    # -s + lam * -l equals -(s + lam * l) bit for bit, up to the sign of a
-    # zero, which no comparison sees; every probe writes its keys here
-    neg_lifts, key = -item_lifts, np.empty_like(neg_scores)
 
     def evaluate(lam: float, seed: np.ndarray) -> tuple[np.ndarray, float]:
         # the top k at lam as pool positions, selected near the seed list's
         # keys, and its NDCG; consecutive probes' lists barely differ
-        np.multiply(neg_lifts, lam, out=key)
-        np.add(key, neg_scores, out=key)
-        top_at = _smallest_k_seeded(key, k, seed)
+        top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, k, seed)
         return top_at, _normalized(_dcg(gains[top_at]), ideal)
 
     evaluations = 0
@@ -297,12 +282,8 @@ def binary_search_lambda_traced(
                     break
         else:
             hi = mid
-    return best_lam, _served(user, ids, best_at), best_value, evaluations
-
-
-def _served(user: int, ids: np.ndarray | None, at: np.ndarray) -> RankedList:
-    """The list of the pool positions ``at``; ``ids`` is ``None`` where positions are ids."""
-    return RankedList._trusted(user, tuple((at if ids is None else ids[at]).tolist()))
+    served = RankedList._trusted(user, tuple(ids[best_at].tolist()))
+    return best_lam, served, best_value, evaluations
 
 
 def _serve(

@@ -282,7 +282,7 @@ def traced_peak(call):
 
 
 def test_preference_matrix_validates_without_a_copy():
-    # the negative-score check used to build a bool mask of the matrix's shape
+    # validation allocates nothing the size of the matrix
     scores = np.ones((400, 500))
     assert traced_peak(lambda: PreferenceMatrix(scores)) <= 0.02 * scores.nbytes
 
@@ -291,7 +291,7 @@ def test_generate_synthetic_holds_one_matrix_at_its_peak():
     # the generator's first call sets up state that later calls reuse
     generate_synthetic(2, 3, 1, 1.5, 3)
     nbytes = 200 * 500 * 8
-    # the draw and its scaled copy used to coexist: 2.13 times the matrix
+    # the draw is scaled in place, so one matrix's bytes plus small state
     assert traced_peak(lambda: generate_synthetic(200, 500, 5, 1.5, 3)) <= 1.25 * nbytes
 
 

@@ -149,8 +149,8 @@ def test_ids_past_the_catalog_are_rejected(call):
 )
 @pytest.mark.parametrize("pool", [_CATALOG, top_k(SMALL, 0, 10)], ids=["catalog", "ranking"])
 def test_lifts_sized_for_another_catalog_are_rejected(pool, by_provider):
-    # a short vector used to raise numpy's bare IndexError and a long one was
-    # read silently; a constant one must not slip through the lift shortcut
+    # a short, long or constant vector is rejected on every pool with a
+    # message naming both sizes, before any work
     lifts = LiftAssignment(by_provider=np.array(by_provider))
     message = re.escape(f"lifts have shape ({len(by_provider)},), but the catalog has 2 providers")
     with pytest.raises(ValueError, match=message):
