@@ -117,6 +117,11 @@ class Catalog:
     @classmethod
     def build(cls, provider_of: np.ndarray, matrix: PreferenceMatrix) -> "Catalog":
         """Derive per-provider quality mass from an assignment."""
+        if np.size(provider_of) != matrix.n_items:
+            raise ValueError(
+                f"provider map has {np.size(provider_of)} items but the preference matrix "
+                f"has {matrix.n_items}"
+            )
         return cls(provider_of, np.bincount(provider_of, weights=matrix.scores.sum(axis=0)))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,17 +17,24 @@ def _dcg(gains: np.ndarray) -> float:
     return float(gains @ _slot_weights(gains.size))
 
 
-def _unit_scale(top: float) -> int:
-    """The power of two, as an exponent, that brings a row's top score into [0.5, 1).
+def _scorer(row: np.ndarray, k: int) -> tuple[np.ndarray, Callable[[np.ndarray], float]]:
+    """The row's top ``k`` ids, and the NDCG of any ``k`` ids against them.
 
-    NDCG does not depend on the scale of the scores, and a power-of-two
-    scale is exact while the floats stay normal, so where every gain,
-    product and sum stays normal the scaled NDCG equals the unscaled one bit
-    for bit.  Subnormal scores carry too few bits for the DCG's products and
-    sums: unscaled, a list below the ideal can read NDCG 1.  A zero row
-    stays as it is.
+    NDCG is taken on the row scaled by the power of two that brings its top
+    score into [0.5, 1).  NDCG does not depend on the scale, and the scale is
+    exact while the floats stay normal, so then it equals the unscaled NDCG
+    bit for bit.  Subnormal scores carry too few bits for the DCG's products
+    and sums: unscaled, a list below the ideal can read NDCG 1.  A zero row
+    stays as it is, its all-zero ideal scores 1, and float noise is clipped at 1.
     """
-    return -math.frexp(top)[1]
+    top = _ideal_top(row, k)
+    gains = np.ldexp(row, -math.frexp(row[top[0]])[1])
+    ideal = _dcg(gains[top])
+
+    def score(ids: np.ndarray) -> float:
+        return 1.0 if ideal == 0.0 else min(_dcg(gains[ids]) / ideal, 1.0)
+
+    return top, score
 
 
 def _list_row(
@@ -51,23 +59,14 @@ def ideal_dcg(matrix: PreferenceMatrix, user: int, k: int) -> float:
     return _dcg(row[_ideal_top(row, k)])
 
 
-def _normalized(dcg_value: float, ideal: float) -> float:
-    # an all-zero ideal scores 1; the ratio can only exceed 1 by float noise
-    return 1.0 if ideal == 0.0 else min(dcg_value / ideal, 1.0)
-
-
 def ndcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
-    """Normalized DCG in [0, 1], on the scores scaled by :func:`_unit_scale`.
+    """Normalized DCG in [0, 1], as :func:`_scorer` takes it.
 
     A user with no positive preference at all cannot be served better or
     worse, so an all-zero ideal yields 1.0 by definition.
     """
     row, items = _list_row(matrix, user, rlist, k)
-    top = _ideal_top(row, k)
-    # only the 2k gathered scores are scaled; gathering the user's own top k
-    # for both sides gives it a bit-exact ratio of 1
-    scale = _unit_scale(row[top[0]])
-    return _normalized(_dcg(np.ldexp(row[items], scale)), _dcg(np.ldexp(row[top], scale)))
+    return _scorer(row, k)[1](items)
 
 
 @dataclass(frozen=True)

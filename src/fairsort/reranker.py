@@ -22,7 +22,6 @@ from .catalog import (
     Catalog,
     PreferenceMatrix,
     RankedList,
-    _ideal_top,
     _list_ids,
     _smallest_k_at,
     _smallest_k_seeded,
@@ -30,7 +29,7 @@ from .catalog import (
     original_ranking,
 )
 from .exposure import ExposureLedger, FairnessNotion, total_exposure
-from .quality import QualityReport, _dcg, _normalized, _unit_scale
+from .quality import QualityReport, _scorer
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
@@ -146,7 +145,8 @@ def _pool_arrays(
     k: int,
     catalog: Catalog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pool's ascending ids, scores and lifts, once the user, ``k`` and lifts are checked."""
+    """The pool's sorted ids, scores and lifts, once catalog, user, ``k`` and lifts are checked."""
+    _check_sizes(matrix, catalog)
     row = _user_row(matrix, user, k)
     if lifts.by_provider.shape != (catalog.n_providers,):
         raise ValueError(
@@ -210,16 +210,15 @@ def binary_search_lambda_traced(
     """As :func:`binary_search_lambda`, also reporting the evaluation count.
 
     ``pool`` is read as a set and laid out in id order, so a stable sort
-    by position breaks ties in the lifted score by id.  It must hold
-    ``_ideal_top(row, k)``, the user's own top k, or ``ValueError`` is
-    raised; the pool's head, its own top k at weight 0, is then that top k.
-    The head scores NDCG 1, so weight 0 always clears the floor.
-    NDCG is taken on the scores scaled by :func:`_unit_scale` of the user's
-    top score.  Bisection keeps the invariant NDCG(lo) >= threshold and
-    stops once hi - lo <= gap, returning the largest probed weight that
-    passed.  Each probe selects its top k only among the items keyed at or
-    below the previous probe's list (the first, the head's), which gives
-    the lists :func:`rerank_with_lambda` gives.
+    by position breaks ties in the lifted score by id.  It must hold the
+    user's own top k, or ``ValueError`` is raised; the pool's head, its own
+    top k at weight 0, is then that top k, which scores NDCG 1, so weight 0
+    always clears the floor.  :func:`_scorer` gives every probe's NDCG, so a
+    probe reads :func:`ndcg` of its list.  Bisection keeps the invariant
+    NDCG(lo) >= threshold and stops once hi - lo <= gap, returning the
+    largest probed weight that passed.  Each probe selects its top k only
+    among the items keyed at or below the previous probe's list (the first,
+    the head's), which gives the lists :func:`rerank_with_lambda` gives.
 
     Probe order: lambda_max / 2 first; if it passes, lambda_max itself,
     returned with its list if it clears the floor; otherwise the halvings go
@@ -242,7 +241,7 @@ def binary_search_lambda_traced(
     neg_scores, neg_lifts = -scores, -item_lifts
     # each of the user's top ids must sit at its sorted place in the pool;
     # one past all the pool's ids clips to the last, a smaller id, and fails
-    top = _ideal_top(matrix.scores[user], k)
+    top, score = _scorer(matrix.scores[user], k)
     head_at = np.searchsorted(ids, top)
     if not np.array_equal(ids.take(head_at, mode="clip"), top):
         raise ValueError(f"pool for user {user} does not hold the user's own top {k}")
@@ -251,15 +250,11 @@ def binary_search_lambda_traced(
     if np.all(item_lifts == item_lifts[0]):
         return 0.0, RankedList._trusted(user, tuple(top.tolist())), 1.0, 0
 
-    # the head is the user's own top k, so this is the ideal DCG
-    gains = np.ldexp(scores, _unit_scale(scores[head_at[0]]))
-    ideal = _dcg(gains[head_at])
-
     def evaluate(lam: float, seed: np.ndarray) -> tuple[np.ndarray, float]:
         # the top k at lam as pool positions, selected near the seed list's
         # keys, and its NDCG; consecutive probes' lists barely differ
         top_at = _smallest_k_seeded(neg_scores + lam * neg_lifts, k, seed)
-        return top_at, _normalized(_dcg(gains[top_at]), ideal)
+        return top_at, score(ids[top_at])
 
     evaluations = 0
     lo, hi = 0.0, config.lambda_max

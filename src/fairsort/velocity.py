@@ -29,6 +29,10 @@ class LiftAssignment:
 
     def __post_init__(self) -> None:
         by_provider = np.asarray(self.by_provider, dtype=np.float64)
+        if by_provider.ndim != 1:
+            raise ValueError(
+                f"lifts must be one value per provider, got shape {by_provider.shape}"
+            )
         # the partial-selection probe matches a full sort only on finite keys
         if not np.all(np.isfinite(by_provider)):
             raise ValueError("lifts must be finite")

@@ -38,6 +38,9 @@ REJECTIONS = {
                              "catalog needs at least one provider"),
     "catalog-provider-past-last": (lambda tmp: Catalog(np.array([0, 2]), np.ones(2)),
                                    "provider ids out of range"),
+    "catalog-build-other-size": (
+        lambda tmp: Catalog.build(np.array([0, 1, 0]), PreferenceMatrix(np.ones((2, 4)))),
+        "provider map has 3 items but the preference matrix has 4"),
     "load-empty-provider-map": (
         lambda tmp: load_dataset(*files(tmp, "0\t0\t1\n", "")),
         "providers.tsv: provider map is empty"),
@@ -60,6 +63,10 @@ REJECTIONS = {
         "unknown model 'bogus'"),
     "pool-ratio": (lambda tmp: candidate_pool(RankedList(0, (0, 1, 2)), 1.5),
                    "ratio must be in (0, 1]"),
+    "lifts-column": (lambda tmp: LiftAssignment(np.ones((2, 1))),
+                     "lifts must be one value per provider, got shape (2, 1)"),
+    "lifts-scalar": (lambda tmp: LiftAssignment(np.float64(1.0)),
+                     "lifts must be one value per provider, got shape ()"),
     "rerank-short-pool": (
         lambda tmp: rerank_with_lambda(SMALL, 0, RankedList(0, (0, 1)), LiftAssignment(
             np.zeros(2)), 1.0, 3, SMALL_CATALOG),

@@ -746,6 +746,13 @@ def test_loops_reject_a_catalog_of_another_size(catalog_items):
     state = OnlineState.fresh(catalog, UF)
     with pytest.raises(ValueError, match=message):
         fairsort_online_step(state, matrix, catalog, 0, config)
+    # the search and a single re-sort read the provider map by the matrix's ids
+    lifts = LiftAssignment(np.zeros(catalog.n_providers))
+    for pool in (original_ranking(matrix, 0), reranker._CATALOG):
+        with pytest.raises(ValueError, match=message):
+            binary_search_lambda(matrix, 0, pool, lifts, config, catalog)
+        with pytest.raises(ValueError, match=message):
+            rerank_with_lambda(matrix, 0, pool, lifts, 1.0, config.k, catalog)
 
 
 def test_run_config_validation():
