@@ -117,6 +117,9 @@ class Catalog:
     @classmethod
     def build(cls, provider_of: np.ndarray, matrix: PreferenceMatrix) -> "Catalog":
         """Derive per-provider quality mass from an assignment."""
+        # np.bincount would reject a 2-d map only with numpy's own message
+        if np.ndim(provider_of) != 1:
+            raise ValueError("provider_of must be a non-empty 1-d array")
         if np.size(provider_of) != matrix.n_items:
             raise ValueError(
                 f"provider map has {np.size(provider_of)} items but the preference matrix "

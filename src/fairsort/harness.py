@@ -497,7 +497,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config must be a flat JSON object")
         # every other dest of the parser is a config key

@@ -1,14 +1,16 @@
 """Fairness-aware re-ranking with a per-user quality floor.
 
-Every list is served by one step.  With the user's plain top-K list already
-on the exposure ledger as a stand-in, per-provider lifts are read off the
-ledger, the candidate pool is re-scored as ``preference + weight * lift``,
-and bisection finds the largest weight whose top ``k`` still clears the
-NDCG floor (NDCG is non-increasing in the weight).  The served list then
-replaces the stand-in on the ledger.  The offline procedure preloads every
-user's stand-in against the full run budget and serves each user once; the
-online procedure grows the budget by one list per request and puts only
-that request's stand-in on the ledger before serving it.
+Every list is served by one step in two halves.  The plan reads only the
+user's scores: the user's plain top-K list, the ledger's stand-in, and the
+candidate pool.  The serve reads the ledger: with the stand-in already on
+it, per-provider lifts are read off the ledger, the pool is re-scored as
+``preference + weight * lift``, and bisection finds the largest weight
+whose top ``k`` still clears the NDCG floor.  The served list then replaces
+the stand-in on the ledger.  The offline procedure plans every user,
+preloads every stand-in against the full run budget and serves each user
+once; the online procedure plans each user on its first request, grows the
+budget by one list per request and puts only that request's stand-in on
+the ledger before serving it.
 """
 
 from __future__ import annotations
@@ -172,10 +174,14 @@ def rerank_with_lambda(
 ) -> RankedList:
     """Sort the pool by lifted score and keep the top ``k``.
 
-    Ties in the lifted score break by ascending item id, which also keeps
-    items of the same provider in their original relative order for every
-    weight.  The weight search's probes select the same lists from fewer
-    items; this full selection is their reference.
+    Ties in the lifted score break by ascending item id.  In real
+    arithmetic two items of one provider share their lift, so their keys
+    differ as their scores do, and the list keeps them in their original
+    relative order for every weight.  In floats, rounding can merge such
+    keys a few ulps apart into a tie, which then breaks by id: the list is
+    the top ``k`` of the rounded keys, ties by id, nothing more.  The weight
+    search's probes select the same lists from fewer items; this full
+    selection is their reference.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
@@ -222,15 +228,20 @@ def binary_search_lambda_traced(
 
     Probe order: lambda_max / 2 first; if it passes, lambda_max itself,
     returned with its list if it clears the floor; otherwise the halvings go
-    on as plain bisection's, without probing lambda_max again.  This returns
-    plain bisection's weight, list and NDCG, because NDCG is non-increasing
-    in the weight.  With w_r the slot weights, the top k sorted by
-    s + lam * l maximizes sum_r w_r * (s_r + lam * l_r) over ordered
-    k-lists, so comparing the optimal lists at lam1 < lam2 gives
+    on as plain bisection's, without probing lambda_max again.  In real
+    arithmetic this returns plain bisection's weight, list and NDCG, because
+    NDCG is non-increasing in the weight.  With w_r the slot weights, the
+    top k sorted by s + lam * l maximizes sum_r w_r * (s_r + lam * l_r) over
+    ordered k-lists, so comparing the optimal lists at lam1 < lam2 gives
     sum w * l(lam1) <= sum w * l(lam2), and hence DCG(lam1) >= DCG(lam2).
     So if lambda_max clears the floor, every weight below it does:
     plain bisection would pass every probe and return lambda_max last, with
     this same list, since a probe's selection does not depend on its seed.
+    In floats, rounded keys and rounded NDCG can break that monotonicity at
+    near-ties a few ulps apart, and the search can then stop at another
+    weight than plain bisection.  What holds in floats too: the served list
+    clears the floor, it is :func:`rerank_with_lambda`'s list at the
+    returned weight, and the returned NDCG is :func:`ndcg`'s of that list.
     At most ``ceil(log2(lambda_max / gap)) + 1`` NDCG evaluations are spent:
     one per halving plus one on lambda_max.
     """
@@ -281,45 +292,63 @@ def binary_search_lambda_traced(
     return best_lam, served, best_value, evaluations
 
 
-def _serve(
+def _plan(
     matrix: PreferenceMatrix,
     config: RunConfig,
-    ledger: ExposureLedger,
+    catalog: Catalog,
     ranking: RankedList,
-) -> tuple[RankedList, float]:
-    """Serve one user whose plain top-K list is already on the ledger.
+) -> tuple[RankedList, RankedList | _CatalogPool | None]:
+    """The user's plain top-K stand-in and the pool to search, read off the scores alone.
 
     ``ranking`` is the user's ranking to the depth :func:`_serve_depth`
-    gives.  The pool, a set that holds the user's top k, is the ranking's
-    prefix, or ``_CATALOG`` when it is the whole catalog.  Lifts come from
-    the ledger as it stands, the largest weight that clears the floor picks
-    the list, and the list replaces the plain top-K stand-in on the ledger
-    (or is added on top of it in ``accumulate`` mode).
+    gives; its first k items are the stand-in.  The pool, a set that holds
+    the user's top k, is the ranking's prefix, or ``_CATALOG`` when it is
+    the whole catalog.
 
     A pool whose items all belong to one provider gives every item the same
-    lift, which no weight can turn into a reordering.  It is served as the
-    user's own top k at NDCG 1, as the search would serve it, without
-    computing lifts or searching.  A ranked prefix holds one provider when
-    its items' providers are all equal; the whole catalog, when the catalog
-    has one provider, since every provider owns an item.
+    lift, which no weight can turn into a reordering, so it is ``None``: the
+    user is served the stand-in at NDCG 1, as the search would serve it.  A
+    ranked prefix holds one provider when its items' providers are all
+    equal; the whole catalog, when the catalog has one provider, since every
+    provider owns an item.  Such a plan keeps only the k-item stand-in.
     """
-    catalog = ledger.catalog
     pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
     if pool is _CATALOG:
         one_provider = catalog.n_providers == 1
     else:
         providers = catalog.provider_of[np.asarray(pool.items, dtype=np.int64)]
         one_provider = (providers == providers[0]).all()
-    if one_provider:
-        served, value = RankedList._trusted(ranking.user, ranking.items[: config.k]), 1.0
+    # a ranking of k items is its own stand-in; a deeper one keeps only its
+    # first k in a plan, not the whole ranking
+    if len(ranking) > config.k:
+        ranking = RankedList._trusted(ranking.user, ranking.items[: config.k])
+    return ranking, None if one_provider else pool
+
+
+def _serve(
+    matrix: PreferenceMatrix,
+    config: RunConfig,
+    ledger: ExposureLedger,
+    standin: RankedList,
+    pool: RankedList | _CatalogPool | None,
+) -> tuple[RankedList, float]:
+    """Serve one user by its plan (:func:`_plan`), its stand-in already on the ledger.
+
+    Lifts come from the ledger as it stands, the largest weight that clears
+    the floor picks the list from ``pool``, and the list replaces the
+    stand-in on the ledger (or is added on top of it in ``accumulate``
+    mode).  A pool of ``None`` is served the stand-in at NDCG 1, without
+    computing lifts or searching.
+    """
+    if pool is None:
+        served, value = standin, 1.0
     else:
         lifts = normalize_lifts(err_rates(ledger))
         _, served, value = binary_search_lambda(
-            matrix, ranking.user, pool, lifts, config, catalog
+            matrix, standin.user, pool, lifts, config, ledger.catalog
         )
-    # a ranking's first k items are its plain top-K list
     if config.exposure_update == "replace":
-        ledger.retract(ranking, config.k)
+        ledger.retract(standin, config.k)
     ledger.apply(served, config.k)
     return served, value
 
@@ -349,28 +378,54 @@ def fairsort_offline(
     _check_sizes(matrix, catalog)
 
     depth = _serve_depth(matrix.n_items, config)
-    rankings = [original_ranking(matrix, u, depth) for u in range(m)]
+    plans = [_plan(matrix, config, catalog, original_ranking(matrix, u, depth)) for u in range(m)]
     ledger = ExposureLedger(total_exposure(m, config.k), catalog, config.notion)
-    for ranking in rankings:
-        ledger.apply(ranking, config.k)
+    for standin, _ in plans:
+        ledger.apply(standin, config.k)
 
     lists: dict[int, RankedList] = {}
     per_user: dict[int, float] = {}
     for u in order:
-        lists[u], per_user[u] = _serve(matrix, config, ledger, rankings[u])
+        lists[u], per_user[u] = _serve(matrix, config, ledger, *plans[u])
     return lists, ledger, QualityReport(per_user)
 
 
 @dataclass
 class OnlineState:
-    """Mutable state threaded through consecutive online requests."""
+    """Mutable state threaded through consecutive online requests.
+
+    The state plans each user once (:func:`_plan`): a repeat request reuses
+    the user's stand-in and pool, which depend only on the user's scores.
+    Plans hold for one matrix object and one ``(k, ratio)``; a step with
+    another matrix object, or a config of another ``k`` or ``ratio``, starts
+    a fresh plan table.  So a matrix must not be changed in place once a
+    state has served from it.
+    """
 
     ledger: ExposureLedger
     ndcg_log: list[tuple[int, float]] = field(default_factory=list)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the matrix object and the (k, ratio) the plans were made for
+    _planned_for: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, catalog: Catalog, notion: FairnessNotion) -> "OnlineState":
         return cls(ledger=ExposureLedger(0.0, catalog, notion))
+
+    def _plan_of(
+        self, matrix: PreferenceMatrix, user: int, config: RunConfig
+    ) -> tuple[RankedList, RankedList | _CatalogPool | None]:
+        """The user's plan, made on the user's first request since the inputs changed."""
+        planned_matrix, planned_depth = self._planned_for
+        if planned_matrix is not matrix or planned_depth != (config.k, config.ratio):
+            self._plans, self._planned_for = {}, (matrix, (config.k, config.ratio))
+        # only an integer names its user; a float equal to one is not kept
+        plans = self._plans if _is_int(user) else {}
+        plan = plans.get(user)
+        if plan is None:
+            ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
+            plan = plans[user] = _plan(matrix, config, self.ledger.catalog, ranking)
+        return plan
 
 
 def fairsort_online_step(
@@ -386,6 +441,7 @@ def fairsort_online_step(
     are computed and swapped for the served list afterwards; contributions
     of past requests stay on the ledger permanently.  The catalog object and
     the config's notion must be the ones the state's ledger was created with.
+    A repeat request reuses the user's plan (see :class:`OnlineState`).
     """
     if config.notion is not state.ledger.notion:
         raise ValueError(
@@ -394,9 +450,9 @@ def fairsort_online_step(
         )
     state.ledger.check_catalog(catalog, "online state's")
     _check_sizes(matrix, catalog)
-    ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
+    standin, pool = state._plan_of(matrix, user, config)
     state.ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
-    state.ledger.apply(ranking, config.k)
-    served, value = _serve(matrix, config, state.ledger, ranking)
+    state.ledger.apply(standin, config.k)
+    served, value = _serve(matrix, config, state.ledger, standin, pool)
     state.ndcg_log.append((user, value))
     return served, state

@@ -402,6 +402,13 @@ def test_cli_config_must_be_a_json_object(tmp_path, capsys):
     assert "error: config must be a flat JSON object" in capsys.readouterr().err
 
 
+def test_cli_malformed_json_names_its_file(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"k": 3, "users": }')
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"error: {config_path}: Expecting value: line 1 column 19" in capsys.readouterr().err
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"dataset": "synthetic", "bogus": 1}))

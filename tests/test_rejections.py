@@ -41,6 +41,9 @@ REJECTIONS = {
     "catalog-build-other-size": (
         lambda tmp: Catalog.build(np.array([0, 1, 0]), PreferenceMatrix(np.ones((2, 4)))),
         "provider map has 3 items but the preference matrix has 4"),
+    "catalog-build-2d-map": (
+        lambda tmp: Catalog.build(np.array([[0, 1], [0, 1]]), PreferenceMatrix(np.ones((2, 4)))),
+        "provider_of must be a non-empty 1-d array"),
     "load-empty-provider-map": (
         lambda tmp: load_dataset(*files(tmp, "0\t0\t1\n", "")),
         "providers.tsv: provider map is empty"),

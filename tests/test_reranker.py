@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -395,6 +396,28 @@ def test_binary_search_agrees_with_oracle_profile(case):
         assert beyond < threshold
 
 
+def test_search_keeps_its_float_guarantees_at_ulp_near_ties():
+    # scores 3 + {0, 1, 3, 2} ulp: rounding merges lifted keys of one provider
+    # into ties broken by id, so NDCG is not monotone in the weight
+    scores = [3.0, 3.0000000000000004, 3.0000000000000013, 3.000000000000001]
+    matrix = PreferenceMatrix(np.array([scores]))
+    catalog = Catalog.build(np.array([1, 0, 0, 1]), matrix)
+    lifts = LiftAssignment(np.array([0.11, 0.32]))
+    config = RunConfig(k=4, notion=UF, threshold=1.0)
+    pool = reranker._CATALOG
+
+    def ndcg_at(lam):
+        return ndcg(matrix, 0, rerank_with_lambda(matrix, 0, pool, lifts, lam, 4, catalog), 4)
+
+    assert ndcg_at(14.0) < 1.0 == ndcg_at(16.0)
+    lam, served, value, probes = binary_search_lambda_traced(
+        matrix, 0, pool, lifts, config, catalog
+    )
+    assert value == ndcg(matrix, 0, served, config.k) >= config.threshold
+    assert probes <= probe_bound(config) == 12
+    assert served == rerank_with_lambda(matrix, 0, pool, lifts, lam, config.k, catalog)
+
+
 def test_binary_search_returns_lambda_max_when_floor_never_breaks():
     # two tied items from different providers: reordering costs nothing
     matrix = PreferenceMatrix(np.array([[0.5, 0.5]]))
@@ -539,15 +562,18 @@ def test_offline_single_provider_reproduces_top_k():
         assert lists[user].items == top_k(matrix, user, config.k).items
 
 
-def serve_by_search(matrix, config, ledger, ranking):
-    # the serve step with lifts computed and the search called for every pool
+def serve_by_search(matrix, config, ledger, standin, pool):
+    # the serve step with lifts computed and the search called for every
+    # pool: one the plan marked as one provider (None) is cut afresh
     lifts = normalize_lifts(err_rates(ledger))
-    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+    if pool is None:
+        ranking = original_ranking(matrix, standin.user, _serve_depth(matrix.n_items, config))
+        pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
     _, served, value = binary_search_lambda(
-        matrix, ranking.user, pool, lifts, config, ledger.catalog
+        matrix, standin.user, pool, lifts, config, ledger.catalog
     )
     if config.exposure_update == "replace":
-        ledger.retract(ranking, config.k)
+        ledger.retract(standin, config.k)
     ledger.apply(served, config.k)
     return served, value
 
@@ -601,6 +627,91 @@ def test_online_pool_inside_one_provider_is_served_without_search(monkeypatch, n
     assert lists == searched_lists == [top_k(matrix, user, config.k) for user in trace]
     assert state.ndcg_log == searched.ndcg_log == [(user, 1.0) for user in trace]
     assert state.ledger.snapshot_lines() == searched.ledger.snapshot_lines()
+
+
+def one_provider_row(rng, provider):
+    # a row of 24 items, six per provider, whose top quarter is the
+    # provider's six alone and whose top half is not
+    row = rng.random(24) / 2
+    row[6 * provider : 6 * provider + 6] += 0.5
+    return row
+
+
+def mixed_pools(seed):
+    # users 0-3 have pools of one provider at ratio 0.25, users 4-7 mixed ones
+    rng = np.random.default_rng(seed)
+    rows = [one_provider_row(rng, user) for user in range(4)]
+    matrix = PreferenceMatrix(np.vstack(rows + [rng.random(24) for _ in range(4)]))
+    return matrix, Catalog.build(np.repeat(np.arange(4), 6), matrix)
+
+
+def step_planned_afresh(state, matrix, user, config):
+    # the online step from public parts, the user ranked, pooled and searched
+    # on every request
+    ledger = state.ledger
+    ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
+    ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
+    ledger.apply(ranking, config.k)
+    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+    lifts = normalize_lifts(err_rates(ledger))
+    _, served, value = binary_search_lambda(matrix, user, pool, lifts, config, ledger.catalog)
+    ledger.retract(ranking, config.k)
+    ledger.apply(served, config.k)
+    state.ndcg_log.append((user, value))
+    return served
+
+
+@pytest.mark.parametrize("notion", list(FairnessNotion))
+def test_online_repeat_requests_serve_as_plans_made_afresh(notion):
+    matrix, catalog = mixed_pools(9)
+    config = RunConfig(k=3, notion=notion, ratio=0.25)
+    trace = make_trace(matrix.n_users, 4, seed=9)
+    state, afresh = OnlineState.fresh(catalog, notion), OnlineState.fresh(catalog, notion)
+    lists = [fairsort_online_step(state, matrix, catalog, user, config)[0] for user in trace]
+    assert lists == [step_planned_afresh(afresh, matrix, user, config) for user in trace]
+    assert state.ndcg_log == afresh.ndcg_log
+    assert state.ledger.snapshot_lines() == afresh.ledger.snapshot_lines()
+
+
+def test_online_step_plans_each_user_once(monkeypatch):
+    matrix, catalog = mixed_pools(10)
+    config = RunConfig(k=3, notion=UF, ratio=0.25)
+    calls = Counter()
+    for name in ("original_ranking", "candidate_pool", "binary_search_lambda"):
+        def counted(*args, _name=name, _fn=getattr(reranker, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(reranker, name, counted)
+    state = OnlineState.fresh(catalog, UF)
+    for user in make_trace(matrix.n_users, 3, seed=10):
+        _, state = fairsort_online_step(state, matrix, catalog, user, config)
+    # the four users with mixed pools are searched on every request
+    assert calls == {"original_ranking": 8, "candidate_pool": 8, "binary_search_lambda": 12}
+    # a float names no user, even one equal to a planned user's id
+    with pytest.raises((IndexError, ValueError)):
+        fairsort_online_step(state, matrix, catalog, 1.0, config)
+
+
+@pytest.mark.parametrize("change", ["matrix", "k", "ratio"])
+def test_online_step_plans_again_for_new_inputs(monkeypatch, change):
+    rng = np.random.default_rng(8)
+    mixed = rng.random((1, 24))
+    matrix = PreferenceMatrix(one_provider_row(rng, 0)[None, :])
+    catalog = Catalog.build(np.repeat(np.arange(4), 6), matrix)
+    config = RunConfig(k=2, notion=UF, ratio=0.25)
+    state = OnlineState.fresh(catalog, UF)
+    # user 0's plan before the change: a mixed pool to search, or three items
+    if change == "matrix":
+        fairsort_online_step(state, PreferenceMatrix(mixed), catalog, 0, config)
+    elif change == "k":
+        fairsort_online_step(state, matrix, catalog, 0, dataclasses.replace(config, k=3))
+    else:
+        fairsort_online_step(state, matrix, catalog, 0, dataclasses.replace(config, ratio=0.5))
+    forbid_lifts_and_search(monkeypatch)
+    served, state = fairsort_online_step(state, matrix, catalog, 0, config)
+    assert served == top_k(matrix, 0, config.k)
+    assert state.ndcg_log[-1] == (0, 1.0)
 
 
 def test_offline_rejects_bad_order():
