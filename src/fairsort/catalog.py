@@ -403,8 +403,22 @@ def _ideal_top(row: np.ndarray, k: int) -> np.ndarray:
     return _smallest_k_at(-row, k)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool counts as none."""
+    # a plain int, the common case, costs one type test (a third of the
+    # isinstance pair's); no class derives from bool
+    kind = type(value)
+    return kind is int or (kind is not bool and isinstance(value, (int, np.integer)))
+
+
 def _user_row(matrix: PreferenceMatrix, user: int, depth: int) -> np.ndarray:
     """The user's score row, once the user and a list depth are checked."""
+    # numpy rejects a float index with a bare IndexError, and reads a bool
+    # as user or depth 0 or 1
+    if not _is_int(user):
+        raise ValueError(f"user must be an integer, got {user!r}")
+    if not _is_int(depth):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
     # a negative index would wrap around to another user's row
     if not 0 <= user < matrix.n_users:
         raise ValueError(f"user {user} out of range")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import Catalog, RankedList, _list_ids
+from .catalog import Catalog, RankedList, _is_int, _list_ids
 
 
 class LedgerError(RuntimeError):
@@ -51,6 +51,11 @@ def _list_exposure(k: int) -> float:
 
 def total_exposure(list_count: int, k: int) -> float:
     """Exposure budget of ``list_count`` lists of depth ``k``."""
+    # a fractional k would weigh ceil(k) slots
+    if not _is_int(list_count):
+        raise ValueError(f"list_count must be an integer, got {list_count!r}")
+    if not _is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if list_count < 0:
         raise ValueError("list_count must be >= 0")
     if k < 1:

@@ -24,6 +24,7 @@ from .catalog import (
     Catalog,
     PreferenceMatrix,
     RankedList,
+    _is_int,
     _list_ids,
     _smallest_k_at,
     _smallest_k_seeded,
@@ -36,11 +37,6 @@ from .velocity import LiftAssignment, err_rates, normalize_lifts
 
 # guards against float fuzz when n * ratio should be an exact integer
 _POOL_EPS = 1e-9
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool counts as none."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -99,17 +95,6 @@ def _check_sizes(matrix: PreferenceMatrix, catalog: Catalog) -> None:
         )
 
 
-def _serve_depth(n_items: int, config: RunConfig) -> int:
-    """How deep a serve ranks its user.
-
-    A pool smaller than the catalog is the ranking's prefix, so the ranking
-    must reach the pool's depth.  A pool of the whole catalog reads none of
-    it, so the ranking is the user's top k, the ledger's stand-in.
-    """
-    size = _pool_size(n_items, config.ratio, config.k)
-    return config.k if size == n_items else size
-
-
 class _CatalogPool:
     """The whole catalog as a candidate pool: every id, so nothing is stored."""
 
@@ -127,7 +112,8 @@ def candidate_pool(
     the whole pool.  A pool of the whole ranking is the ranking itself;
     lists are frozen.  The search reads a pool as a set, so a pool of all
     ``n_items`` that the ranking does not list in full is ``_CATALOG``, a
-    tag for every id that only the search and :func:`rerank_with_lambda` read.
+    tag for every id that only :func:`_plan`, the search and
+    :func:`rerank_with_lambda` read.
     """
     size = _pool_size(len(ranking) if n_items is None else n_items, ratio, k)
     if size == len(ranking):
@@ -296,14 +282,15 @@ def _plan(
     matrix: PreferenceMatrix,
     config: RunConfig,
     catalog: Catalog,
-    ranking: RankedList,
+    user: int,
 ) -> tuple[RankedList, RankedList | _CatalogPool | None]:
     """The user's plain top-K stand-in and the pool to search, read off the scores alone.
 
-    ``ranking`` is the user's ranking to the depth :func:`_serve_depth`
-    gives; its first k items are the stand-in.  The pool, a set that holds
-    the user's top k, is the ranking's prefix, or ``_CATALOG`` when it is
-    the whole catalog.
+    The user is ranked only as deep as the search needs.  A pool smaller
+    than the catalog is the ranking's prefix, so the ranking reaches the
+    pool's depth; a pool of the whole catalog is ``_CATALOG``, which reads
+    none of it, so the ranking is the user's top k.  Its first k items are
+    the stand-in.
 
     A pool whose items all belong to one provider gives every item the same
     lift, which no weight can turn into a reordering, so it is ``None``: the
@@ -312,7 +299,10 @@ def _plan(
     equal; the whole catalog, when the catalog has one provider, since every
     provider owns an item.  Such a plan keeps only the k-item stand-in.
     """
-    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+    n_items, k = matrix.n_items, config.k
+    size = _pool_size(n_items, config.ratio, k)
+    ranking = original_ranking(matrix, user, k if size == n_items else size)
+    pool = candidate_pool(ranking, config.ratio, k, n_items=n_items)
     if pool is _CATALOG:
         one_provider = catalog.n_providers == 1
     else:
@@ -320,8 +310,8 @@ def _plan(
         one_provider = (providers == providers[0]).all()
     # a ranking of k items is its own stand-in; a deeper one keeps only its
     # first k in a plan, not the whole ranking
-    if len(ranking) > config.k:
-        ranking = RankedList._trusted(ranking.user, ranking.items[: config.k])
+    if len(ranking) > k:
+        ranking = RankedList._trusted(ranking.user, ranking.items[:k])
     return ranking, None if one_provider else pool
 
 
@@ -377,8 +367,7 @@ def fairsort_offline(
         raise ValueError("order must be a permutation of all user ids")
     _check_sizes(matrix, catalog)
 
-    depth = _serve_depth(matrix.n_items, config)
-    plans = [_plan(matrix, config, catalog, original_ranking(matrix, u, depth)) for u in range(m)]
+    plans = [_plan(matrix, config, catalog, u) for u in range(m)]
     ledger = ExposureLedger(total_exposure(m, config.k), catalog, config.notion)
     for standin, _ in plans:
         ledger.apply(standin, config.k)
@@ -423,8 +412,7 @@ class OnlineState:
         plans = self._plans if _is_int(user) else {}
         plan = plans.get(user)
         if plan is None:
-            ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
-            plan = plans[user] = _plan(matrix, config, self.ledger.catalog, ranking)
+            plan = plans[user] = _plan(matrix, config, self.ledger.catalog, user)
         return plan
 
 

@@ -14,6 +14,8 @@ from fairsort import (
     candidate_pool,
     generate_synthetic,
     load_dataset,
+    min_exposure,
+    original_ranking,
     rerank_with_lambda,
     total_exposure,
 )
@@ -59,6 +61,19 @@ REJECTIONS = {
                "unknown fairness notion 'xx', expected uf or qf"),
     "exposure-negative-count": (lambda tmp: total_exposure(-1, 3), "list_count must be >= 0"),
     "exposure-zero-depth": (lambda tmp: total_exposure(1, 0), "k must be >= 1"),
+    "exposure-fractional-count": (lambda tmp: total_exposure(2.5, 3),
+                                  "list_count must be an integer, got 2.5"),
+    "exposure-fractional-depth": (lambda tmp: total_exposure(1, 2.5),
+                                  "k must be an integer, got 2.5"),
+    "exposure-bool-depth": (lambda tmp: total_exposure(1, True), "k must be an integer, got True"),
+    "ranking-float-user": (lambda tmp: original_ranking(SMALL, 1.0, 3),
+                           "user must be an integer, got 1.0"),
+    "ranking-bool-user": (lambda tmp: original_ranking(SMALL, True, 3),
+                          "user must be an integer, got True"),
+    "ranking-bool-depth": (lambda tmp: original_ranking(SMALL, 0, True),
+                           "depth must be an integer, got True"),
+    "min-exposure-bool-user": (lambda tmp: min_exposure(SMALL, True, 3, np.zeros(6)),
+                               "user must be an integer, got True"),
     "spec-dataset": (lambda tmp: ExperimentSpec(dataset="x"),
                      "dataset must be 'synthetic' or 'files'"),
     "cell-unknown-model": (

@@ -37,7 +37,7 @@ from fairsort import (
     total_exposure,
 )
 from fairsort.harness import make_trace
-from fairsort.reranker import _serve_depth, binary_search_lambda_traced
+from fairsort.reranker import binary_search_lambda_traced
 
 from conftest import make_search_instance
 from oracle import (
@@ -301,7 +301,7 @@ def assert_matches_reference(served, matrix, pool, lifts, config, catalog):
 @settings(max_examples=300, deadline=None)
 @given(whole_catalog_cases())
 def test_whole_catalog_serve_matches_search_on_full_ranking(case):
-    # the serve path ranks only the top k and searches all ids as an array;
+    # the plan ranks only the top k and searches all ids as an array;
     # it must find what the search over the fully ranked pool finds, and
     # what a bisection of full re-ranks finds
     scores, provider_of, by_provider, k, threshold = case
@@ -310,10 +310,14 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     lifts = LiftAssignment(by_provider=np.array(by_provider))
     config = RunConfig(k=k, notion=UF, threshold=threshold)
     n = matrix.n_items
-    ranking = original_ranking(matrix, 0, _serve_depth(n, config))
-    pool = candidate_pool(ranking, config.ratio, k, n_items=n)
-    assert len(ranking) == k and isinstance(pool, RankedList) == (k == n)
     full = candidate_pool(original_ranking(matrix, 0), 1.0)
+    standin, pool = reranker._plan(matrix, config, catalog, 0)
+    assert standin == top_k(matrix, 0, k)
+    if pool is None:
+        # a catalog of one provider: the plan keeps no pool, so it is cut here
+        assert catalog.n_providers == 1
+        pool = candidate_pool(standin, config.ratio, k, n_items=n)
+    assert isinstance(pool, RankedList) == (k == n)
     served = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
     assert served == binary_search_lambda_traced(matrix, 0, full, lifts, config, catalog)
     assert_matches_reference(served, matrix, pool, lifts, config, catalog)
@@ -324,8 +328,7 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     half = dataclasses.replace(config, ratio=0.5)
     size = math.ceil(n * half.ratio)
     if size >= k:
-        ranking = original_ranking(matrix, 0, _serve_depth(n, half))
-        prefix = candidate_pool(ranking, half.ratio, k, n_items=n)
+        prefix = candidate_pool(original_ranking(matrix, 0), half.ratio, k)
         assert isinstance(prefix, RankedList) and len(prefix) == size
         assert_matches_reference(
             binary_search_lambda_traced(matrix, 0, prefix, lifts, half, catalog),
@@ -376,10 +379,10 @@ def test_binary_search_agrees_with_oracle_profile(case):
     catalog = Catalog.build(np.array(provider_of), matrix)
     lifts = LiftAssignment(by_provider=np.array(by_provider))
     config = RunConfig(k=k, notion=UF, threshold=threshold, ratio=ratio)
-    n, gap, lambda_max = matrix.n_items, config.gap, config.lambda_max
-    ranking = original_ranking(matrix, 0, _serve_depth(n, config))
-    pool = candidate_pool(ranking, ratio, k, n_items=n)
-    ids = list(pool.items) if isinstance(pool, RankedList) else list(range(n))
+    gap, lambda_max = config.gap, config.lambda_max
+    ranking = original_ranking(matrix, 0)
+    pool = candidate_pool(ranking, ratio, k)
+    ids = list(pool.items)
     lam, served, value, _ = binary_search_lambda_traced(matrix, 0, pool, lifts, config, catalog)
     assert value >= threshold
     assert naive_ndcg(scores, served.items, k) == pytest.approx(value, abs=1e-12)
@@ -567,8 +570,7 @@ def serve_by_search(matrix, config, ledger, standin, pool):
     # pool: one the plan marked as one provider (None) is cut afresh
     lifts = normalize_lifts(err_rates(ledger))
     if pool is None:
-        ranking = original_ranking(matrix, standin.user, _serve_depth(matrix.n_items, config))
-        pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+        pool = candidate_pool(original_ranking(matrix, standin.user), config.ratio, config.k)
     _, served, value = binary_search_lambda(
         matrix, standin.user, pool, lifts, config, ledger.catalog
     )
@@ -649,10 +651,10 @@ def step_planned_afresh(state, matrix, user, config):
     # the online step from public parts, the user ranked, pooled and searched
     # on every request
     ledger = state.ledger
-    ranking = original_ranking(matrix, user, _serve_depth(matrix.n_items, config))
+    ranking = original_ranking(matrix, user)
     ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
     ledger.apply(ranking, config.k)
-    pool = candidate_pool(ranking, config.ratio, config.k, n_items=matrix.n_items)
+    pool = candidate_pool(ranking, config.ratio, config.k)
     lifts = normalize_lifts(err_rates(ledger))
     _, served, value = binary_search_lambda(matrix, user, pool, lifts, config, ledger.catalog)
     ledger.retract(ranking, config.k)
@@ -689,8 +691,32 @@ def test_online_step_plans_each_user_once(monkeypatch):
     # the four users with mixed pools are searched on every request
     assert calls == {"original_ranking": 8, "candidate_pool": 8, "binary_search_lambda": 12}
     # a float names no user, even one equal to a planned user's id
-    with pytest.raises((IndexError, ValueError)):
+    with pytest.raises(ValueError, match=r"user must be an integer, got 1\.0"):
         fairsort_online_step(state, matrix, catalog, 1.0, config)
+
+
+@pytest.mark.parametrize("k, ratio, depth", [(3, 1.0, 3), (3, 0.3, 8), (24, 1.0, 24)],
+                         ids=["whole-catalog", "prefix", "k-is-n"])
+def test_serve_path_ranks_each_user_as_deep_as_its_pool(monkeypatch, k, ratio, depth):
+    # of 24 items: a whole-catalog pool reads no ranking, so the user is
+    # ranked to k, the stand-in; a prefix pool to its size, ceil(24 * 0.3);
+    # at k = n that is every item
+    matrix, catalog = mixed_pools(11)
+    config = RunConfig(k=k, notion=UF, ratio=ratio)
+    depths = []
+
+    def recorded(matrix, user, depth=None, _rank=reranker.original_ranking):
+        depths.append(depth)
+        return _rank(matrix, user, depth)
+
+    monkeypatch.setattr(reranker, "original_ranking", recorded)
+    fairsort_offline(matrix, catalog, config)
+    assert depths == [depth] * matrix.n_users
+    depths.clear()
+    state = OnlineState.fresh(catalog, UF)
+    for user in [0, 5, 0, 7]:
+        fairsort_online_step(state, matrix, catalog, user, config)
+    assert depths == [depth] * 3
 
 
 @pytest.mark.parametrize("change", ["matrix", "k", "ratio"])
