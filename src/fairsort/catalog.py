@@ -117,12 +117,11 @@ class Catalog:
     @classmethod
     def build(cls, provider_of: np.ndarray, matrix: PreferenceMatrix) -> "Catalog":
         """Derive per-provider quality mass from an assignment."""
-        # np.bincount would reject a 2-d map only with numpy's own message
-        if np.ndim(provider_of) != 1:
-            raise ValueError("provider_of must be a non-empty 1-d array")
-        if np.size(provider_of) != matrix.n_items:
+        # the catalog's own map checks, on zero masses, before np.bincount reads the map
+        provider_of = cls(provider_of, np.zeros(np.unique(provider_of).size)).provider_of
+        if provider_of.size != matrix.n_items:
             raise ValueError(
-                f"provider map has {np.size(provider_of)} items but the preference matrix "
+                f"provider map has {provider_of.size} items but the preference matrix "
                 f"has {matrix.n_items}"
             )
         return cls(provider_of, np.bincount(provider_of, weights=matrix.scores.sum(axis=0)))
@@ -136,9 +135,10 @@ class RankedList:
     items: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # operator.index rejects floats and other non-integral ids
-        user = operator.index(self.user)
-        items = tuple(map(operator.index, self.items))
+        # int() would truncate a float id and read a bool as id 0 or 1
+        if not all(map(_is_int, ids := (self.user, *self.items))):
+            raise TypeError(f"ranked list ids must be integers, got user and items {ids!r}")
+        user, items = int(ids[0]), tuple(map(int, ids[1:]))
         if user < 0:
             raise ValueError(f"ranked list has a negative user id {user}")
         if len(set(items)) != len(items):
@@ -409,6 +409,14 @@ def _is_int(value) -> bool:
     # isinstance pair's); no class derives from bool
     kind = type(value)
     return kind is int or (kind is not bool and isinstance(value, (int, np.integer)))
+
+
+def _count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer ``>= least``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _user_row(matrix: PreferenceMatrix, user: int, depth: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import Catalog, RankedList, _is_int, _list_ids
+from .catalog import Catalog, RankedList, _count, _list_ids
 
 
 class LedgerError(RuntimeError):
@@ -52,14 +52,8 @@ def _list_exposure(k: int) -> float:
 def total_exposure(list_count: int, k: int) -> float:
     """Exposure budget of ``list_count`` lists of depth ``k``."""
     # a fractional k would weigh ceil(k) slots
-    if not _is_int(list_count):
-        raise ValueError(f"list_count must be an integer, got {list_count!r}")
-    if not _is_int(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if list_count < 0:
-        raise ValueError("list_count must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _count("list_count", list_count, 0)
+    _count("k", k, 1)
     return float(list_count * _list_exposure(k))
 
 
@@ -72,8 +66,7 @@ def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
 
 def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray:
     """Per-provider exposure contributed by the first ``k`` slots of a list."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _count("k", k, 1)
     items = _list_ids(rlist, k, catalog.n_items)
     # adds the weights in slot order, as np.add.at would, so bit for bit the same
     return np.bincount(

@@ -29,6 +29,7 @@ from .catalog import (
     DatasetFormatError,
     PreferenceMatrix,
     RankedList,
+    _count,
     generate_synthetic,
     load_dataset,
 )
@@ -97,13 +98,13 @@ class ExperimentSpec:
         repeated = [k for i, k in enumerate(self.k_values) if k in self.k_values[:i]]
         if repeated:
             raise ConfigError(f"k lists {repeated[0]} more than once")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        # numpy's generators take no negative seed, and a run that never draws
-        # would accept one only to fail in the scenario that does
-        for key, seed in (("seed", self.seed), ("data_seed", self.data_seed)):
-            if seed < 0:
-                raise ConfigError(f"{key} must be >= 0, got {seed}")
+        # np.repeat truncates fractional rounds; a negative seed, which numpy's
+        # generators refuse, is refused here even for a run that never draws
+        for key, least in (("rounds", 1), ("seed", 0), ("data_seed", 0)):
+            try:
+                _count(key, getattr(self, key), least)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.dataset not in ("synthetic", "files"):
             raise ConfigError("dataset must be 'synthetic' or 'files'")
         given = [path is not None for path in (self.matrix_path, self.provider_map_path)]

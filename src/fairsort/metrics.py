@@ -72,9 +72,10 @@ def uir(
     avg_utility: float,
 ) -> float:
     """Calibrated fairness-per-utility score; lower is better."""
-    if mu1 <= 0 or mu2 <= 0:
+    # written so that NaN fails too
+    if not mu1 > 0 or not mu2 > 0:
         raise ValueError("calibration constants must be positive")
-    if avg_utility <= 0:
+    if not avg_utility > 0:
         raise ValueError("average utility must be positive")
     return (dcf_val / mu1 + dpf_val / mu2) / avg_utility
 

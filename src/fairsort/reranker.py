@@ -24,6 +24,7 @@ from .catalog import (
     Catalog,
     PreferenceMatrix,
     RankedList,
+    _count,
     _is_int,
     _list_ids,
     _smallest_k_at,
@@ -52,10 +53,7 @@ class RunConfig:
     exposure_update: str = "replace"
 
     def __post_init__(self) -> None:
-        if not _is_int(self.k):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _count("k", self.k, 1)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         # an infinite lambda_max would keep bisection from ever ending
@@ -115,6 +113,8 @@ def candidate_pool(
     tag for every id that only :func:`_plan`, the search and
     :func:`rerank_with_lambda` read.
     """
+    if n_items is not None:
+        _count("n_items", n_items, len(ranking))
     size = _pool_size(len(ranking) if n_items is None else n_items, ratio, k)
     if size == len(ranking):
         return ranking

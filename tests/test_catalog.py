@@ -241,6 +241,11 @@ def test_ranked_list_rejects_non_integral_ids():
         RankedList(0, (np.float64(1.0),))
     with pytest.raises(TypeError):
         RankedList(1.7, (0,))
+    # a bool is no id: True would read as user 1 or item 1
+    with pytest.raises(TypeError):
+        RankedList(True, (0, 1))
+    with pytest.raises(TypeError):
+        RankedList(0, (True, 2))
 
 
 def test_ranked_list_accepts_numpy_integer_ids():

@@ -7,17 +7,20 @@ import pytest
 
 from fairsort import (
     Catalog,
+    ExposureLedger,
     FairnessNotion,
     LiftAssignment,
     PreferenceMatrix,
     RankedList,
     candidate_pool,
     generate_synthetic,
+    list_contribution,
     load_dataset,
     min_exposure,
     original_ranking,
     rerank_with_lambda,
     total_exposure,
+    uir,
 )
 from fairsort.harness import ExperimentSpec, run_cell_offline
 
@@ -46,6 +49,15 @@ REJECTIONS = {
     "catalog-build-2d-map": (
         lambda tmp: Catalog.build(np.array([[0, 1], [0, 1]]), PreferenceMatrix(np.ones((2, 4)))),
         "provider_of must be a non-empty 1-d array"),
+    "catalog-build-float-map": (
+        lambda tmp: Catalog.build(np.array([0.0, 1.0, 1.0]), PreferenceMatrix(np.ones((2, 3)))),
+        "provider ids must be integers, got dtype float64"),
+    "catalog-build-negative-id": (
+        lambda tmp: Catalog.build(np.array([0, -1, 1]), PreferenceMatrix(np.ones((2, 3)))),
+        "provider ids out of range"),
+    "catalog-build-gap": (
+        lambda tmp: Catalog.build(np.array([0, 0, 2, 2]), PreferenceMatrix(np.ones((2, 4)))),
+        "provider ids out of range"),
     "load-empty-provider-map": (
         lambda tmp: load_dataset(*files(tmp, "0\t0\t1\n", "")),
         "providers.tsv: provider map is empty"),
@@ -66,6 +78,13 @@ REJECTIONS = {
     "exposure-fractional-depth": (lambda tmp: total_exposure(1, 2.5),
                                   "k must be an integer, got 2.5"),
     "exposure-bool-depth": (lambda tmp: total_exposure(1, True), "k must be an integer, got True"),
+    "contribution-bool-depth": (
+        lambda tmp: list_contribution(RankedList(0, (0, 1, 2)), True, SMALL_CATALOG),
+        "k must be an integer, got True"),
+    "ledger-fractional-depth": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).apply(
+            RankedList(0, (0, 1, 2)), 2.5),
+        "k must be an integer, got 2.5"),
     "ranking-float-user": (lambda tmp: original_ranking(SMALL, 1.0, 3),
                            "user must be an integer, got 1.0"),
     "ranking-bool-user": (lambda tmp: original_ranking(SMALL, True, 3),
@@ -76,11 +95,27 @@ REJECTIONS = {
                                "user must be an integer, got True"),
     "spec-dataset": (lambda tmp: ExperimentSpec(dataset="x"),
                      "dataset must be 'synthetic' or 'files'"),
+    "spec-fractional-rounds": (lambda tmp: ExperimentSpec(rounds=2.5, scenario="online"),
+                               "rounds must be an integer, got 2.5"),
+    "spec-bool-rounds": (lambda tmp: ExperimentSpec(rounds=True, scenario="online"),
+                         "rounds must be an integer, got True"),
+    "spec-fractional-seed": (lambda tmp: ExperimentSpec(seed=1.5),
+                             "seed must be an integer, got 1.5"),
     "cell-unknown-model": (
         lambda tmp: run_cell_offline(ExperimentSpec(), "bogus", 2, SMALL, SMALL_CATALOG),
         "unknown model 'bogus'"),
     "pool-ratio": (lambda tmp: candidate_pool(RankedList(0, (0, 1, 2)), 1.5),
                    "ratio must be in (0, 1]"),
+    "pool-past-catalog": (
+        lambda tmp: candidate_pool(RankedList(0, (0, 1, 2)), 1.0, 2, n_items=2),
+        "n_items must be >= 3, got 2"),
+    "pool-fractional-catalog": (
+        lambda tmp: candidate_pool(RankedList(0, (0, 1, 2)), 1.0, 2, n_items=4.0),
+        "n_items must be an integer, got 4.0"),
+    "uir-nan-calibration": (lambda tmp: uir(1.0, 1.0, float("nan"), 1.0, 1.0),
+                            "calibration constants must be positive"),
+    "uir-nan-utility": (lambda tmp: uir(1.0, 1.0, 1.0, 1.0, float("nan")),
+                        "average utility must be positive"),
     "lifts-column": (lambda tmp: LiftAssignment(np.ones((2, 1))),
                      "lifts must be one value per provider, got shape (2, 1)"),
     "lifts-scalar": (lambda tmp: LiftAssignment(np.float64(1.0)),
