@@ -118,7 +118,7 @@ class Catalog:
     def build(cls, provider_of: np.ndarray, matrix: PreferenceMatrix) -> "Catalog":
         """Derive per-provider quality mass from an assignment."""
         # the catalog's own map checks, on zero masses, before np.bincount reads the map
-        provider_of = cls(provider_of, np.zeros(np.unique(provider_of).size)).provider_of
+        provider_of = cls(provider_of, np.zeros(_distinct_count(provider_of))).provider_of
         if provider_of.size != matrix.n_items:
             raise ValueError(
                 f"provider map has {provider_of.size} items but the preference matrix "
@@ -163,6 +163,13 @@ class RankedList:
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+def _distinct_count(values) -> int:
+    """How many distinct values an array holds, counted on its flattened sort."""
+    # np.unique would count the same, but loads numpy.ma on its first call
+    ordered = np.sort(values, axis=None)
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def _list_ids(rlist: RankedList, k: int, n_items: int) -> np.ndarray:
@@ -246,8 +253,7 @@ def load_dataset(matrix_path: str | Path, provider_map_path: str | Path) -> tupl
             f"(item ids must be 0-based contiguous)"
         )
     provider_of = np.array([assignment[i] for i in range(n_items)], dtype=np.int64)
-    providers = np.unique(provider_of)
-    if providers.size != provider_of.max() + 1:
+    if _distinct_count(provider_of) != provider_of.max() + 1:
         raise DatasetFormatError(
             f"{provider_map_path}: provider ids must be 0-based contiguous"
         )
@@ -475,9 +481,10 @@ def generate_synthetic(
     proportional popularity boost, so plain top-K ranking concentrates
     exposure on the head providers whenever skew > 0.
     """
-    if n_users < 1 or n_items < 1:
-        raise ValueError("need at least one user and one item")
-    if not 1 <= n_providers <= n_items:
+    _count("n_users", n_users, 1)
+    _count("n_items", n_items, 1)
+    _count("n_providers", n_providers, 1)
+    if n_providers > n_items:
         raise ValueError("need 1 <= n_providers <= n_items")
     # written so that NaN fails too
     if not skew >= 0:

@@ -65,7 +65,11 @@ def _provider_sizes(catalog: Catalog, notion: FairnessNotion) -> np.ndarray:
 
 
 def list_contribution(rlist: RankedList, k: int, catalog: Catalog) -> np.ndarray:
-    """Per-provider exposure contributed by the first ``k`` slots of a list."""
+    """Per-provider exposure contributed by the first ``k`` slots of a list.
+
+    This is the only code that turns a list into exposure: the ledger books
+    and withdraws the vectors it returns.
+    """
     _count("k", k, 1)
     items = _list_ids(rlist, k, catalog.n_items)
     # adds the weights in slot order, as np.add.at would, so bit for bit the same
@@ -88,7 +92,8 @@ class ExposureLedger:
     A provider's fair target is the budget times its share of the catalog:
     its item count under uniform fairness, its quality mass under
     quality-weighted fairness, so a zero-mass provider's target is zero.
-    A ledger has a single writer; apply/retract mutate it in place.
+    A ledger has a single writer; apply/retract mutate it in place, booking
+    per-provider vectors made by :func:`list_contribution`.
     """
 
     budget: float
@@ -131,15 +136,26 @@ class ExposureLedger:
                 f"not the {owner} own ({own.n_items} items, {own.n_providers} providers)"
             )
 
-    def apply(self, rlist: RankedList, k: int) -> None:
-        """Credit the exposure of one list to its providers."""
-        self.exposure += list_contribution(rlist, k, self.catalog)
+    def _check_shape(self, contribution: np.ndarray) -> None:
+        # a scalar or a one-element vector would broadcast without a word
+        if contribution.shape != self.exposure.shape:
+            raise ValueError(
+                f"contribution has shape {contribution.shape}, but the ledger's exposure "
+                f"has shape {self.exposure.shape}"
+            )
 
-    def retract(self, rlist: RankedList, k: int) -> None:
-        """Withdraw a previously applied list, e.g. a provisional one."""
-        self.exposure -= list_contribution(rlist, k, self.catalog)
+    def apply(self, contribution: np.ndarray) -> None:
+        """Credit one list's per-provider exposure, its :func:`list_contribution`."""
+        self._check_shape(contribution)
+        self.exposure += contribution
+
+    def retract(self, contribution: np.ndarray) -> None:
+        """Withdraw a previously applied contribution, e.g. a stand-in's."""
+        self._check_shape(contribution)
+        self.exposure -= contribution
         low = self.exposure.min()
-        if low < -1e-9:
+        # written so that NaN fails too
+        if not low >= -1e-9:
             raise LedgerError(
                 f"retract drove provider {int(self.exposure.argmin())} exposure "
                 f"to {low}; list was never applied"

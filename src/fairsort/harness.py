@@ -33,7 +33,7 @@ from .catalog import (
     generate_synthetic,
     load_dataset,
 )
-from .exposure import ExposureLedger, FairnessNotion, total_exposure
+from .exposure import ExposureLedger, FairnessNotion, list_contribution, total_exposure
 from .quality import ndcg
 from .reranker import OnlineState, RunConfig, fairsort_offline, fairsort_online_step
 
@@ -285,7 +285,7 @@ def run_cell_offline(
         served, values = [], []
         for user in range(m):
             rlist = policy(user, (spec.seed, user))
-            ledger.apply(rlist, k)
+            ledger.apply(list_contribution(rlist, k, catalog))
             served.append(rlist)
             if scored:
                 values.append(ndcg(matrix, user, rlist, k))
@@ -333,7 +333,7 @@ def run_cell_online(
 
         def serve(user: int, step: int) -> tuple[RankedList, float | None]:
             rlist = policy(user, (spec.seed, step))
-            ledger.apply(rlist, k)
+            ledger.apply(list_contribution(rlist, k, catalog))
             return rlist, ndcg(matrix, user, rlist, k) if scored else None
 
     user_total = np.zeros(m)

@@ -1,16 +1,17 @@
 """Fairness-aware re-ranking with a per-user quality floor.
 
 Every list is served by one step in two halves.  The plan reads only the
-user's scores: the user's plain top-K list, the ledger's stand-in, and the
-candidate pool.  The serve reads the ledger: with the stand-in already on
-it, per-provider lifts are read off the ledger, the pool is re-scored as
-``preference + weight * lift``, and bisection finds the largest weight
-whose top ``k`` still clears the NDCG floor.  The served list then replaces
-the stand-in on the ledger.  The offline procedure plans every user,
-preloads every stand-in against the full run budget and serves each user
-once; the online procedure plans each user on its first request, grows the
-budget by one list per request and puts only that request's stand-in on
-the ledger before serving it.
+user's scores: the user's plain top-K list, the ledger's stand-in, its
+per-provider exposure, and the candidate pool.  The serve reads the ledger:
+with the stand-in already on it, per-provider lifts are read off the
+ledger, the pool is re-scored as ``preference + weight * lift``, and
+bisection finds the largest weight whose top ``k`` still clears the NDCG
+floor.  The served list's exposure then replaces the stand-in's on the
+ledger.  The offline procedure plans every user, preloads every stand-in
+against the full run budget and serves each user once; the online
+procedure plans each user on its first request, grows the budget by one
+list per request and puts only that request's stand-in on the ledger
+before serving it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .catalog import (
     _user_row,
     original_ranking,
 )
-from .exposure import ExposureLedger, FairnessNotion, total_exposure
+from .exposure import ExposureLedger, FairnessNotion, list_contribution, total_exposure
 from .quality import QualityReport, _scorer
 from .velocity import LiftAssignment, err_rates, normalize_lifts
 
@@ -283,8 +284,8 @@ def _plan(
     config: RunConfig,
     catalog: Catalog,
     user: int,
-) -> tuple[RankedList, RankedList | _CatalogPool | None]:
-    """The user's plain top-K stand-in and the pool to search, read off the scores alone.
+) -> tuple[RankedList, np.ndarray, RankedList | _CatalogPool | None]:
+    """The user's plain top-K stand-in, its exposure and the pool, read off the scores alone.
 
     The user is ranked only as deep as the search needs.  A pool smaller
     than the catalog is the ranking's prefix, so the ranking reaches the
@@ -298,6 +299,9 @@ def _plan(
     ranked prefix holds one provider when its items' providers are all
     equal; the whole catalog, when the catalog has one provider, since every
     provider owns an item.  Such a plan keeps only the k-item stand-in.
+
+    The stand-in's exposure is its :func:`list_contribution`, taken once
+    per plan: the ledger books and withdraws that same vector.
     """
     n_items, k = matrix.n_items, config.k
     size = _pool_size(n_items, config.ratio, k)
@@ -312,7 +316,8 @@ def _plan(
     # first k in a plan, not the whole ranking
     if len(ranking) > k:
         ranking = RankedList._trusted(ranking.user, ranking.items[:k])
-    return ranking, None if one_provider else pool
+    contribution = list_contribution(ranking, k, catalog)
+    return ranking, contribution, None if one_provider else pool
 
 
 def _serve(
@@ -320,26 +325,29 @@ def _serve(
     config: RunConfig,
     ledger: ExposureLedger,
     standin: RankedList,
+    contribution: np.ndarray,
     pool: RankedList | _CatalogPool | None,
 ) -> tuple[RankedList, float]:
     """Serve one user by its plan (:func:`_plan`), its stand-in already on the ledger.
 
     Lifts come from the ledger as it stands, the largest weight that clears
-    the floor picks the list from ``pool``, and the list replaces the
-    stand-in on the ledger (or is added on top of it in ``accumulate``
-    mode).  A pool of ``None`` is served the stand-in at NDCG 1, without
-    computing lifts or searching.
+    the floor picks the list from ``pool``, and the list's exposure replaces
+    the stand-in's ``contribution`` on the ledger (or is added on top of it
+    in ``accumulate`` mode).  A pool of ``None`` is served the stand-in at
+    NDCG 1, without computing lifts or searching, and books the stand-in's
+    own vector.
     """
     if pool is None:
-        served, value = standin, 1.0
+        served, value, booked = standin, 1.0, contribution
     else:
         lifts = normalize_lifts(err_rates(ledger))
         _, served, value = binary_search_lambda(
             matrix, standin.user, pool, lifts, config, ledger.catalog
         )
+        booked = list_contribution(served, config.k, ledger.catalog)
     if config.exposure_update == "replace":
-        ledger.retract(standin, config.k)
-    ledger.apply(served, config.k)
+        ledger.retract(contribution)
+    ledger.apply(booked)
     return served, value
 
 
@@ -369,8 +377,8 @@ def fairsort_offline(
 
     plans = [_plan(matrix, config, catalog, u) for u in range(m)]
     ledger = ExposureLedger(total_exposure(m, config.k), catalog, config.notion)
-    for standin, _ in plans:
-        ledger.apply(standin, config.k)
+    for _, contribution, _ in plans:
+        ledger.apply(contribution)
 
     lists: dict[int, RankedList] = {}
     per_user: dict[int, float] = {}
@@ -384,11 +392,11 @@ class OnlineState:
     """Mutable state threaded through consecutive online requests.
 
     The state plans each user once (:func:`_plan`): a repeat request reuses
-    the user's stand-in and pool, which depend only on the user's scores.
-    Plans hold for one matrix object and one ``(k, ratio)``; a step with
-    another matrix object, or a config of another ``k`` or ``ratio``, starts
-    a fresh plan table.  So a matrix must not be changed in place once a
-    state has served from it.
+    the user's stand-in, its exposure and the pool, which depend only on
+    the user's scores.  Plans hold for one matrix object and one
+    ``(k, ratio)``; a step with another matrix object, or a config of
+    another ``k`` or ``ratio``, starts a fresh plan table.  So a matrix must
+    not be changed in place once a state has served from it.
     """
 
     ledger: ExposureLedger
@@ -403,7 +411,7 @@ class OnlineState:
 
     def _plan_of(
         self, matrix: PreferenceMatrix, user: int, config: RunConfig
-    ) -> tuple[RankedList, RankedList | _CatalogPool | None]:
+    ) -> tuple[RankedList, np.ndarray, RankedList | _CatalogPool | None]:
         """The user's plan, made on the user's first request since the inputs changed."""
         planned_matrix, planned_depth = self._planned_for
         if planned_matrix is not matrix or planned_depth != (config.k, config.ratio):
@@ -438,9 +446,9 @@ def fairsort_online_step(
         )
     state.ledger.check_catalog(catalog, "online state's")
     _check_sizes(matrix, catalog)
-    standin, pool = state._plan_of(matrix, user, config)
+    standin, contribution, pool = state._plan_of(matrix, user, config)
     state.ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
-    state.ledger.apply(standin, config.k)
-    served, value = _serve(matrix, config, state.ledger, standin, pool)
+    state.ledger.apply(contribution)
+    served, value = _serve(matrix, config, state.ledger, standin, contribution, pool)
     state.ndcg_log.append((user, value))
     return served, state

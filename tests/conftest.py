@@ -15,6 +15,7 @@ from fairsort import (
     RunConfig,
     err_rates,
     generate_synthetic,
+    list_contribution,
     normalize_lifts,
     top_k,
     total_exposure,
@@ -63,7 +64,7 @@ def make_search_instance(
         notion = FairnessNotion.UNIFORM if rng.integers(2) == 0 else FairnessNotion.QUALITY_WEIGHTED
         ledger = ExposureLedger(total_exposure(users, depth), catalog, notion)
         for user in range(users):
-            ledger.apply(top_k(matrix, user, depth), depth)
+            ledger.apply(list_contribution(top_k(matrix, user, depth), depth, catalog))
         lifts = normalize_lifts(err_rates(ledger))
         if require_varied_lifts and np.unique(lifts.by_provider).size < 2:
             attempt += 1

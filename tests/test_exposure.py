@@ -111,11 +111,11 @@ def test_list_contribution_rejects_short_list():
 def test_ledger_apply_then_retract_restores():
     _, catalog = small_catalog()
     ledger = ExposureLedger(10.0, catalog, UF)
-    ledger.apply(RankedList(0, (0, 2)), 2)
+    ledger.apply(list_contribution(RankedList(0, (0, 2)), 2, catalog))
     before = ledger.exposure.copy()
-    extra = RankedList(0, (1, 3))
-    ledger.apply(extra, 2)
-    ledger.retract(extra, 2)
+    extra = list_contribution(RankedList(0, (1, 3)), 2, catalog)
+    ledger.apply(extra)
+    ledger.retract(extra)
     assert np.max(np.abs(ledger.exposure - before)) < 1e-12
 
 
@@ -123,7 +123,16 @@ def test_ledger_retract_unapplied_list_raises():
     _, catalog = small_catalog()
     ledger = ExposureLedger(10.0, catalog, UF)
     with pytest.raises(LedgerError):
-        ledger.retract(RankedList(0, (0, 2)), 2)
+        ledger.retract(list_contribution(RankedList(0, (0, 2)), 2, catalog))
+
+
+def test_ledger_retract_of_a_nan_vector_raises():
+    # a NaN compares false with the tolerance, so the check is written to fail on it
+    _, catalog = small_catalog()
+    ledger = ExposureLedger(10.0, catalog, UF)
+    ledger.apply(list_contribution(RankedList(0, (0, 2)), 2, catalog))
+    with pytest.raises(LedgerError, match="provider 1 exposure to nan"):
+        ledger.retract(np.array([0.0, math.nan, 0.0]))
 
 
 def test_ledger_targets_sum_to_budget_both_notions():
@@ -147,7 +156,7 @@ def test_ledger_rejects_a_budget_not_finite_and_non_negative(bad):
     with pytest.raises(ValueError, match="budget must be finite"):
         ExposureLedger(bad, catalog, UF)
     ledger = ExposureLedger(4.0, catalog, UF)
-    ledger.apply(RankedList(0, (0, 2)), 2)
+    ledger.apply(list_contribution(RankedList(0, (0, 2)), 2, catalog))
     exposure, target = ledger.exposure.copy(), ledger.target
     with pytest.raises(ValueError, match="budget must be finite"):
         ledger.set_budget(bad)
@@ -179,7 +188,7 @@ def test_ledger_target_is_derived_and_read_only():
 def test_ledger_snapshot_format():
     _, catalog = small_catalog()
     ledger = ExposureLedger(4.0, catalog, UF)
-    ledger.apply(RankedList(0, (0, 2)), 2)
+    ledger.apply(list_contribution(RankedList(0, (0, 2)), 2, catalog))
     lines = ledger.snapshot_lines()
     assert len(lines) == catalog.n_providers
     for provider, line in enumerate(lines):

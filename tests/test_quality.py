@@ -131,7 +131,8 @@ OUTSIDE = RankedList(0, (0, 1, 99))
 OUTSIDE_CALLS = {
     "ndcg": lambda: ndcg(SMALL, 0, OUTSIDE, 3),
     "dcg": lambda: dcg(SMALL, 0, OUTSIDE, 3),
-    "ledger-apply": lambda: ExposureLedger(1.0, SMALL_CATALOG, UF_CONFIG.notion).apply(OUTSIDE, 3),
+    "ledger-apply": lambda: ExposureLedger(1.0, SMALL_CATALOG, UF_CONFIG.notion).apply(
+        list_contribution(OUTSIDE, 3, SMALL_CATALOG)),
     "search": lambda: binary_search_lambda(SMALL, 0, OUTSIDE, LIFTS, UF_CONFIG, SMALL_CATALOG),
     "rerank": lambda: rerank_with_lambda(SMALL, 0, OUTSIDE, LIFTS, 1.0, 3, SMALL_CATALOG),
 }

@@ -68,7 +68,15 @@ REJECTIONS = {
         lambda tmp: load_dataset(*files(tmp, "0\t0\t1\n0\t1\tabc\n", "0\t0\n1\t0\n")),
         "matrix.tsv:2: malformed row, score is not a number: 'abc'"),
     "synthetic-no-users": (lambda tmp: generate_synthetic(0, 4, 2, 1.0, seed=0),
-                           "need at least one user and one item"),
+                           "n_users must be >= 1, got 0"),
+    "synthetic-fractional-users": (lambda tmp: generate_synthetic(2.5, 4, 2, 1.0, seed=0),
+                                   "n_users must be an integer, got 2.5"),
+    "synthetic-bool-items": (lambda tmp: generate_synthetic(2, True, 1, 1.0, seed=0),
+                             "n_items must be an integer, got True"),
+    "synthetic-fractional-providers": (lambda tmp: generate_synthetic(3, 6, 2.5, 1.0, seed=0),
+                                       "n_providers must be an integer, got 2.5"),
+    "synthetic-bool-providers": (lambda tmp: generate_synthetic(3, 6, True, 1.0, seed=0),
+                                 "n_providers must be an integer, got True"),
     "notion": (lambda tmp: FairnessNotion.parse("xx"),
                "unknown fairness notion 'xx', expected uf or qf"),
     "exposure-negative-count": (lambda tmp: total_exposure(-1, 3), "list_count must be >= 0"),
@@ -83,8 +91,27 @@ REJECTIONS = {
         "k must be an integer, got True"),
     "ledger-fractional-depth": (
         lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).apply(
-            RankedList(0, (0, 1, 2)), 2.5),
+            list_contribution(RankedList(0, (0, 1, 2)), 2.5, SMALL_CATALOG)),
         "k must be an integer, got 2.5"),
+    "ledger-apply-scalar": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).apply(
+            np.float64(1.0)),
+        "contribution has shape (), but the ledger's exposure has shape (2,)"),
+    "ledger-apply-one-element": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).apply(np.ones(1)),
+        "contribution has shape (1,), but the ledger's exposure has shape (2,)"),
+    "ledger-apply-column": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).apply(
+            np.ones((2, 1))),
+        "contribution has shape (2, 1), but the ledger's exposure has shape (2,)"),
+    "ledger-retract-long": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).retract(
+            np.zeros(3)),
+        "contribution has shape (3,), but the ledger's exposure has shape (2,)"),
+    "ledger-retract-one-element": (
+        lambda tmp: ExposureLedger(1.0, SMALL_CATALOG, FairnessNotion.UNIFORM).retract(
+            np.zeros(1)),
+        "contribution has shape (1,), but the ledger's exposure has shape (2,)"),
     "ranking-float-user": (lambda tmp: original_ranking(SMALL, 1.0, 3),
                            "user must be an integer, got 1.0"),
     "ranking-bool-user": (lambda tmp: original_ranking(SMALL, True, 3),

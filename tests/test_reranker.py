@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairsort import (
@@ -24,6 +24,7 @@ from fairsort import (
     fairsort_offline,
     fairsort_online_step,
     generate_synthetic,
+    list_contribution,
     ndcg,
     ndcg_histogram,
     normalize_lifts,
@@ -311,8 +312,9 @@ def test_whole_catalog_serve_matches_search_on_full_ranking(case):
     config = RunConfig(k=k, notion=UF, threshold=threshold)
     n = matrix.n_items
     full = candidate_pool(original_ranking(matrix, 0), 1.0)
-    standin, pool = reranker._plan(matrix, config, catalog, 0)
+    standin, contribution, pool = reranker._plan(matrix, config, catalog, 0)
     assert standin == top_k(matrix, 0, k)
+    assert contribution.tobytes() == list_contribution(standin, k, catalog).tobytes()
     if pool is None:
         # a catalog of one provider: the plan keeps no pool, so it is cut here
         assert catalog.n_providers == 1
@@ -565,7 +567,7 @@ def test_offline_single_provider_reproduces_top_k():
         assert lists[user].items == top_k(matrix, user, config.k).items
 
 
-def serve_by_search(matrix, config, ledger, standin, pool):
+def serve_by_search(matrix, config, ledger, standin, contribution, pool):
     # the serve step with lifts computed and the search called for every
     # pool: one the plan marked as one provider (None) is cut afresh
     lifts = normalize_lifts(err_rates(ledger))
@@ -575,8 +577,8 @@ def serve_by_search(matrix, config, ledger, standin, pool):
         matrix, standin.user, pool, lifts, config, ledger.catalog
     )
     if config.exposure_update == "replace":
-        ledger.retract(standin, config.k)
-    ledger.apply(served, config.k)
+        ledger.retract(contribution)
+    ledger.apply(list_contribution(served, config.k, ledger.catalog))
     return served, value
 
 
@@ -653,12 +655,12 @@ def step_planned_afresh(state, matrix, user, config):
     ledger = state.ledger
     ranking = original_ranking(matrix, user)
     ledger.set_budget(total_exposure(len(state.ndcg_log) + 1, config.k))
-    ledger.apply(ranking, config.k)
+    ledger.apply(list_contribution(ranking, config.k, ledger.catalog))
     pool = candidate_pool(ranking, config.ratio, config.k)
     lifts = normalize_lifts(err_rates(ledger))
     _, served, value = binary_search_lambda(matrix, user, pool, lifts, config, ledger.catalog)
-    ledger.retract(ranking, config.k)
-    ledger.apply(served, config.k)
+    ledger.retract(list_contribution(ranking, config.k, ledger.catalog))
+    ledger.apply(list_contribution(served, config.k, ledger.catalog))
     state.ndcg_log.append((user, value))
     return served
 
@@ -693,6 +695,84 @@ def test_online_step_plans_each_user_once(monkeypatch):
     # a float names no user, even one equal to a planned user's id
     with pytest.raises(ValueError, match=r"user must be an integer, got 1\.0"):
         fairsort_online_step(state, matrix, catalog, 1.0, config)
+
+
+@pytest.mark.parametrize("exposure_update", ["replace", "accumulate"])
+def test_each_list_is_turned_into_exposure_once(monkeypatch, exposure_update):
+    # once per plan, for the stand-in, and once per searched serve, for the
+    # served list; a one-provider serve books its stand-in's vector again
+    matrix, catalog = mixed_pools(11)
+    config = RunConfig(k=3, notion=UF, ratio=0.25, exposure_update=exposure_update)
+    calls = Counter()
+    for name in ("list_contribution", "binary_search_lambda"):
+        def counted(*args, _name=name, _fn=getattr(reranker, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(reranker, name, counted)
+    fairsort_offline(matrix, catalog, config)
+    assert calls == {"list_contribution": 8 + 4, "binary_search_lambda": 4}
+    calls.clear()
+    state = OnlineState.fresh(catalog, UF)
+    for user in make_trace(matrix.n_users, 3, seed=11):
+        _, state = fairsort_online_step(state, matrix, catalog, user, config)
+    assert calls == {"list_contribution": 8 + 12, "binary_search_lambda": 12}
+
+
+@st.composite
+def booking_runs(draw):
+    # small catalogs whose prefix pools often hold one provider, and a trace
+    n_items = draw(st.integers(2, 10))
+    n_users = draw(st.integers(1, 6))
+    score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(score, min_size=n_items, max_size=n_items),
+                         min_size=n_users, max_size=n_users))
+    n_providers = draw(st.integers(1, min(3, n_items)))
+    provider_of = draw(st.permutations([i % n_providers for i in range(n_items)]))
+    matrix = PreferenceMatrix(np.array(rows))
+    ratio = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    config = RunConfig(
+        k=draw(st.integers(1, math.ceil(n_items * ratio))),
+        notion=draw(st.sampled_from(list(FairnessNotion))),
+        threshold=draw(st.sampled_from([0.5, 0.9, 1.0])),
+        ratio=ratio,
+        exposure_update=draw(st.sampled_from(["replace", "accumulate"])),
+    )
+    assume(config.notion is UF or matrix.scores.sum() > 0)
+    trace = draw(st.lists(st.integers(0, n_users - 1), min_size=1, max_size=8))
+    return matrix, Catalog.build(np.array(provider_of), matrix), config, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(booking_runs())
+def test_ledger_bytes_equal_a_replay_with_fresh_contributions(run):
+    # every step booked in the order of a ledger that turns each list into
+    # exposure anew: stand-ins on, each stand-in off (replace), served list on
+    matrix, catalog, config, trace = run
+    k, replace = config.k, config.exposure_update == "replace"
+
+    def fresh(rlist):
+        return list_contribution(rlist, k, catalog)
+
+    lists, ledger, _ = fairsort_offline(matrix, catalog, config)
+    replay = ExposureLedger(ledger.budget, catalog, config.notion)
+    for user in range(matrix.n_users):
+        replay.apply(fresh(top_k(matrix, user, k)))
+    for user in range(matrix.n_users):
+        if replace:
+            replay.retract(fresh(top_k(matrix, user, k)))
+        replay.apply(fresh(lists[user]))
+    assert ledger.exposure.tobytes() == replay.exposure.tobytes()
+
+    state = OnlineState.fresh(catalog, config.notion)
+    replay = ExposureLedger(0.0, catalog, config.notion)
+    for user in trace:
+        served, state = fairsort_online_step(state, matrix, catalog, user, config)
+        replay.apply(fresh(top_k(matrix, user, k)))
+        if replace:
+            replay.retract(fresh(top_k(matrix, user, k)))
+        replay.apply(fresh(served))
+        assert state.ledger.exposure.tobytes() == replay.exposure.tobytes()
 
 
 @pytest.mark.parametrize("k, ratio, depth", [(3, 1.0, 3), (3, 0.3, 8), (24, 1.0, 24)],
@@ -831,7 +911,6 @@ def test_online_second_request_moves_exposure_off_dominant_provider():
     # provider 0 owns the user's whole top-k; serving twice should shift some
     # of the second list's exposure toward the starved providers
     matrix, catalog, config = offline_setup(users=10, items=30, providers=3, k=5)
-    from fairsort import list_contribution
 
     user = 0
     state = OnlineState.fresh(catalog, config.notion)
@@ -1104,6 +1183,6 @@ def test_lists_the_package_builds_equal_checked_lists(instance, data):
 def test_a_built_list_is_still_checked_against_a_smaller_catalog():
     matrix, _ = generate_synthetic(2, 10, 2, 1.0, seed=0)
     ranking = original_ranking(matrix, 0)
-    ledger = ExposureLedger(1.0, Catalog(np.array([0, 0, 1, 1]), np.ones(2)), UF)
+    catalog = Catalog(np.array([0, 0, 1, 1]), np.ones(2))
     with pytest.raises(ValueError, match="user 0 holds item .*, outside the catalog of 4 items"):
-        ledger.apply(ranking, 10)
+        list_contribution(ranking, 10, catalog)
