@@ -26,7 +26,7 @@ from .exposure import (
 )
 from .harness import ExperimentSpec, build_spec, run_experiment
 from .metrics import MetricsReport, dcf, dpf, ndcg_histogram, uir
-from .quality import QualityReport, dcg, ideal_dcg, ndcg
+from .quality import QualityReport, ndcg
 from .reranker import (
     OnlineState,
     RunConfig,
@@ -59,13 +59,11 @@ __all__ = [
     "build_spec",
     "candidate_pool",
     "dcf",
-    "dcg",
     "dpf",
     "err_rates",
     "fairsort_offline",
     "fairsort_online_step",
     "generate_synthetic",
-    "ideal_dcg",
     "list_contribution",
     "load_dataset",
     "min_exposure",

@@ -99,8 +99,10 @@ class ExperimentSpec:
         if repeated:
             raise ConfigError(f"k lists {repeated[0]} more than once")
         # np.repeat truncates fractional rounds; a negative seed, which numpy's
-        # generators refuse, is refused here even for a run that never draws
-        for key, least in (("rounds", 1), ("seed", 0), ("data_seed", 0)):
+        # generators refuse, and a bad synthetic size are refused here even
+        # for a run that never draws
+        for key, least in (("rounds", 1), ("seed", 0), ("data_seed", 0),
+                           ("users", 1), ("items", 1), ("providers", 1)):
             try:
                 _count(key, getattr(self, key), least)
             except ValueError as exc:
@@ -517,6 +519,3 @@ def main(argv: list[str] | None = None) -> int:
         print(path)
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Ranking quality: DCG and NDCG against the user's own best ordering."""
+"""Ranking quality: NDCG against the user's own best ordering."""
 
 from __future__ import annotations
 
@@ -37,36 +37,16 @@ def _scorer(row: np.ndarray, k: int) -> tuple[np.ndarray, Callable[[np.ndarray],
     return top, score
 
 
-def _list_row(
-    matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The user's score row and the list's first ``k`` ids, once all three are checked."""
-    row = _user_row(matrix, user, k)
-    if rlist.user != user:
-        raise ValueError(f"list is for user {rlist.user}, not user {user}")
-    return row, _list_ids(rlist, k, matrix.n_items)
-
-
-def dcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
-    """Discounted cumulative gain of the first ``k`` slots of ``user``'s list."""
-    row, items = _list_row(matrix, user, rlist, k)
-    return _dcg(row[items])
-
-
-def ideal_dcg(matrix: PreferenceMatrix, user: int, k: int) -> float:
-    """DCG of the user's top ``k`` items by preference; the NDCG denominator."""
-    row = _user_row(matrix, user, k)
-    return _dcg(row[_ideal_top(row, k)])
-
-
 def ndcg(matrix: PreferenceMatrix, user: int, rlist: RankedList, k: int) -> float:
     """Normalized DCG in [0, 1], as :func:`_scorer` takes it.
 
     A user with no positive preference at all cannot be served better or
     worse, so an all-zero ideal yields 1.0 by definition.
     """
-    row, items = _list_row(matrix, user, rlist, k)
-    return _scorer(row, k)[1](items)
+    row = _user_row(matrix, user, k)
+    if rlist.user != user:
+        raise ValueError(f"list is for user {rlist.user}, not user {user}")
+    return _scorer(row, k)[1](_list_ids(rlist, k, matrix.n_items))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from fairsort import (
     RunConfig,
     fairsort_offline,
     generate_synthetic,
-    ideal_dcg,
     ndcg,
     ndcg_histogram,
     normalize_lifts,
+    original_ranking,
     top_k,
 )
 from fairsort.exposure import _slot_weights
@@ -32,6 +32,7 @@ from oracle import (
     exact_ndcg,
     exhaustive_best_dcg,
     grid_lambda_profile,
+    naive_dcg,
     naive_ndcg,
     replay_check,
     selection_sort_ranking,
@@ -43,14 +44,28 @@ def test_selection_sort_orders_by_score_then_id():
     assert selection_sort_ranking([0.5, 0.5, 0.1]) == [0, 1, 2]
 
 
+def test_naive_dcg_two_item_example():
+    value = naive_dcg([0.8, 0.9], (0, 1), 2)
+    assert value == pytest.approx(0.8 + 0.9 / math.log2(3), abs=1e-12)
+    assert value == pytest.approx(1.367837, abs=5e-7)
+
+
+def test_naive_dcg_of_the_ideal_two_item_example():
+    ideal = original_ranking(PreferenceMatrix(np.array([[0.8, 0.9]])), 0, 2).items
+    value = naive_dcg([0.8, 0.9], ideal, 2)
+    assert value == pytest.approx(0.9 + 0.8 / math.log2(3), abs=1e-12)
+    assert value == pytest.approx(1.40474, abs=5e-6)
+
+
 def test_exhaustive_best_dcg_matches_ideal():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(n, 5) + 1))
         matrix = PreferenceMatrix(rng.random((1, n)))
+        ideal = original_ranking(matrix, 0, k).items
         assert exhaustive_best_dcg(matrix, 0, k) == pytest.approx(
-            ideal_dcg(matrix, 0, k), abs=1e-12
+            naive_dcg(matrix.scores[0].tolist(), ideal, k), abs=1e-12
         )
 
 

@@ -1,4 +1,4 @@
-"""DCG and NDCG behavior, including the frozen two-item example."""
+"""NDCG behavior, including the frozen two-item example."""
 
 import math
 import re
@@ -17,9 +17,7 @@ from fairsort import (
     RunConfig,
     all_random,
     binary_search_lambda,
-    dcg,
     generate_synthetic,
-    ideal_dcg,
     list_contribution,
     min_exposure,
     mixed_k,
@@ -30,21 +28,9 @@ from fairsort import (
 from fairsort.catalog import _ideal_top, _smallest_k_at, _smallest_k_seeded
 from fairsort.reranker import _CATALOG
 
-from oracle import naive_dcg, naive_ndcg
+from oracle import naive_ndcg
 
 TWO_ITEMS = PreferenceMatrix(np.array([[0.8, 0.9]]))
-
-
-def test_dcg_two_item_example():
-    value = dcg(TWO_ITEMS, 0, RankedList(0, (0, 1)), 2)
-    assert value == pytest.approx(0.8 + 0.9 / math.log2(3), abs=1e-12)
-    assert value == pytest.approx(1.367837, abs=5e-7)
-
-
-def test_ideal_dcg_two_item_example():
-    value = ideal_dcg(TWO_ITEMS, 0, 2)
-    assert value == pytest.approx(0.9 + 0.8 / math.log2(3), abs=1e-12)
-    assert value == pytest.approx(1.40474, abs=5e-6)
 
 
 def test_ndcg_of_best_order_is_one():
@@ -63,14 +49,14 @@ def test_ndcg_all_zero_preferences_defined_as_one():
     assert ndcg(matrix, 0, RankedList(0, (3, 2)), 2) == 1.0
 
 
-def test_ideal_dcg_rejects_k_beyond_universe():
-    with pytest.raises(ValueError):
-        ideal_dcg(TWO_ITEMS, 0, 3)
+def test_ndcg_rejects_k_beyond_universe():
+    with pytest.raises(ValueError, match=re.escape("depth 3 outside 1..2")):
+        ndcg(TWO_ITEMS, 0, RankedList(0, (1, 0)), 3)
 
 
-def test_dcg_rejects_short_list():
-    with pytest.raises(ValueError):
-        dcg(TWO_ITEMS, 0, RankedList(0, (0,)), 2)
+def test_ndcg_rejects_short_list():
+    with pytest.raises(ValueError, match="list has 1 items, need 2"):
+        ndcg(TWO_ITEMS, 0, RankedList(0, (0,)), 2)
 
 
 SMALL, SMALL_CATALOG = generate_synthetic(4, 10, 2, 1.0, 0)
@@ -89,11 +75,8 @@ def rerank_catalog(user, k):
 
 BAD_CALLS = [
     ("ndcg-of-another-users-list", lambda: ndcg(SMALL, 0, top_k(SMALL, 3, 3), 3), "not user 0"),
-    ("dcg-of-another-users-list", lambda: dcg(SMALL, 0, top_k(SMALL, 3, 3), 3), "not user 0"),
     ("ndcg-user-negative", lambda: ndcg(SMALL, -1, top_k(SMALL, 3, 3), 3), "user -1 out of range"),
     ("ndcg-user-past-last", lambda: ndcg(SMALL, 4, RankedList(4, (0, 1, 2)), 3), "user 4 out"),
-    ("ideal_dcg-user-negative", lambda: ideal_dcg(SMALL, -1, 3), "user -1 out of range"),
-    ("ideal_dcg-user-past-last", lambda: ideal_dcg(SMALL, 4, 3), "user 4 out of range"),
     ("top_k-user-negative", lambda: top_k(SMALL, -1, 3), "user -1 out of range"),
     ("mixed_k-user-past-last", lambda: mixed_k(SMALL, 4, 3, 0), "user 4 out of range"),
     ("all_random-user-past-last", lambda: all_random(SMALL, 99, 3, 0), "user 99 out of range"),
@@ -104,9 +87,7 @@ BAD_CALLS = [
     ("min_exposure-user-past-last",
      lambda: min_exposure(SMALL, 99, 3, np.zeros(10)), "user 99 out of range"),
     ("min_exposure-k0", lambda: min_exposure(SMALL, 0, 0, np.zeros(10)), "depth 0"),
-    ("ideal_dcg-k0", lambda: ideal_dcg(SMALL, 0, 0), "depth 0"),
     ("ndcg-k0", lambda: ndcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
-    ("dcg-k0", lambda: dcg(SMALL, 0, top_k(SMALL, 0, 3), 0), "depth 0"),
     ("list_contribution-k0",
      lambda: list_contribution(top_k(SMALL, 0, 3), 0, SMALL_CATALOG), "k must be >= 1"),
     ("search-catalog-user-negative", lambda: search_catalog(-1, 3), "user -1 out of range"),
@@ -130,7 +111,6 @@ OUTSIDE = RankedList(0, (0, 1, 99))
 
 OUTSIDE_CALLS = {
     "ndcg": lambda: ndcg(SMALL, 0, OUTSIDE, 3),
-    "dcg": lambda: dcg(SMALL, 0, OUTSIDE, 3),
     "ledger-apply": lambda: ExposureLedger(1.0, SMALL_CATALOG, UF_CONFIG.notion).apply(
         list_contribution(OUTSIDE, 3, SMALL_CATALOG)),
     "search": lambda: binary_search_lambda(SMALL, 0, OUTSIDE, LIFTS, UF_CONFIG, SMALL_CATALOG),
@@ -160,10 +140,11 @@ def test_lifts_sized_for_another_catalog_are_rejected(pool, by_provider):
         rerank_with_lambda(SMALL, 0, pool, lifts, 1.0, 3, SMALL_CATALOG)
 
 
-def test_dcg_uses_only_first_k_slots():
+def test_ndcg_uses_only_first_k_slots():
+    # over all three slots this list would score below 1
     matrix = PreferenceMatrix(np.array([[0.4, 0.3, 0.2]]))
-    full = RankedList(0, (0, 1, 2))
-    assert dcg(matrix, 0, full, 1) == pytest.approx(0.4, abs=1e-12)
+    assert ndcg(matrix, 0, RankedList(0, (0, 2, 1)), 1) == 1.0
+    assert ndcg(matrix, 0, RankedList(0, (1, 0, 2)), 1) == pytest.approx(0.75, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,19 +159,6 @@ def test_ndcg_bounded_and_matches_oracle(seed):
     value = ndcg(matrix, 0, RankedList(0, items), k)
     assert 0.0 <= value <= 1.0
     assert value == pytest.approx(naive_ndcg(row.tolist(), items, k), abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_dcg_matches_oracle(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 15))
-    k = int(rng.integers(1, n + 1))
-    row = rng.random(n) * 5
-    matrix = PreferenceMatrix(row[None, :])
-    items = tuple(int(i) for i in rng.permutation(n))
-    value = dcg(matrix, 0, RankedList(0, items), k)
-    assert value == pytest.approx(naive_dcg(row.tolist(), items, k), abs=1e-12)
 
 
 @st.composite

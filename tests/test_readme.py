@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import fairsort
 from fairsort import build_spec
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -27,3 +28,8 @@ def test_readme_config_is_a_valid_spec():
     (config,) = blocks("json")
     spec = build_spec(json.loads(config))
     assert spec.k_values == (5, 10, 20) and spec.dataset == "synthetic"
+
+
+def test_readme_names_every_public_name():
+    missing = [name for name in fairsort.__all__ if not re.search(rf"\b{name}\b", README)]
+    assert missing == []

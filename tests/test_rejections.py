@@ -128,6 +128,12 @@ REJECTIONS = {
                          "rounds must be an integer, got True"),
     "spec-fractional-seed": (lambda tmp: ExperimentSpec(seed=1.5),
                              "seed must be an integer, got 1.5"),
+    "spec-fractional-users": (lambda tmp: ExperimentSpec(users=2.5),
+                              "users must be an integer, got 2.5"),
+    "spec-no-providers": (lambda tmp: ExperimentSpec(providers=0),
+                          "providers must be >= 1, got 0"),
+    "spec-bool-items": (lambda tmp: ExperimentSpec(items=True),
+                        "items must be an integer, got True"),
     "cell-unknown-model": (
         lambda tmp: run_cell_offline(ExperimentSpec(), "bogus", 2, SMALL, SMALL_CATALOG),
         "unknown model 'bogus'"),
